@@ -1,4 +1,4 @@
-"""Pluggable kernel backends (``reference`` / ``pooled`` / ``fused``).
+"""Pluggable kernel backends (``reference`` / ``fused``).
 
 All registered backends produce byte-identical streams; they differ in
 execution strategy only.  See :mod:`repro.backends.base` for the
@@ -19,7 +19,6 @@ from repro.backends.base import (
     resolve_backend,
 )
 from repro.backends.fused import FusedBackend
-from repro.backends.pooled import PooledBackend
 from repro.backends.reference import ReferenceBackend
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "EncodeOutcome",
     "KernelBackend",
     "ReferenceBackend",
-    "PooledBackend",
     "FusedBackend",
     "available_backends",
     "get_backend",
@@ -37,5 +35,4 @@ __all__ = [
 ]
 
 register_backend(ReferenceBackend())
-register_backend(PooledBackend())
 register_backend(FusedBackend())

@@ -14,10 +14,10 @@ engine and the CLI):
 
 * an explicit backend name (or instance) wins;
 * otherwise the ``REPRO_BACKEND`` environment variable;
-* otherwise ``"auto"`` — the historical behavior: the ``reference``
-  kernels for scratch-less single-shot calls, the ``pooled`` kernels when
-  a :class:`~repro.utils.pool.Scratch` arena is available (the engine's
-  steady state).
+* otherwise ``"auto"``, which is always ``fused`` — the fastest
+  implementation, with or without a caller-supplied
+  :class:`~repro.utils.pool.Scratch` arena.  ``reference`` stays
+  selectable by name as the semantics-defining oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 #: Environment variable consulted when no backend is selected explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Pseudo-backend name: pick ``reference`` or ``pooled`` by scratch presence.
+#: Pseudo-backend name: the default backend, ``fused``.
 AUTO = "auto"
 
 
@@ -111,8 +111,8 @@ class KernelBackend:
     def _own_scratch(self, scratch: Scratch | None) -> Scratch:
         """Return the caller's scratch, or this thread's private arena.
 
-        Backends that need an arena even for scratch-less calls (pooled,
-        fused) keep one per thread: codec objects are shared across engine
+        Backends that need an arena even for scratch-less calls (fused)
+        keep one per thread: codec objects are shared across engine
         worker threads and a :class:`Scratch` must never be used by two
         concurrent tasks.
         """
@@ -156,14 +156,14 @@ def get_backend(name: str) -> KernelBackend:
 
 def resolve_backend(
     selected: str | KernelBackend | None,
-    pooled: bool,
+    pooled: bool = False,
 ) -> KernelBackend:
     """Resolve a backend selection to a concrete :class:`KernelBackend`.
 
     ``selected`` may be an instance (used as-is), a registered name,
     ``"auto"``, or ``None`` (consult :data:`BACKEND_ENV`, then auto).
-    ``pooled`` tells the auto rule whether the caller supplied a scratch
-    arena.
+    ``pooled`` is accepted for existing callers and ignored: ``"auto"``
+    resolves to ``fused`` whether or not the caller has a scratch arena.
     """
     if isinstance(selected, KernelBackend):
         return selected
@@ -171,5 +171,5 @@ def resolve_backend(
     if name is None:
         name = os.environ.get(BACKEND_ENV) or AUTO
     if name == AUTO:
-        name = "pooled" if pooled else "reference"
+        name = "fused"
     return get_backend(name)

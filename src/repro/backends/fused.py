@@ -13,8 +13,8 @@ the way to encoded output while it is still resident:
    residuals **without materializing the int64 grid** — ``rint`` output is
    an exact float64 integer, and integer differences in float64 are exact
    while ``max |q| < 2**51``, so float64 subtraction commutes bit-for-bit
-   with the reference's int64 pipeline (a guard falls back to the staged
-   pooled path for pathological ``data/eb`` ratios);
+   with the reference's int64 pipeline (a guard falls back to the
+   reference int64 kernels for pathological ``data/eb`` ratios);
 2. sign-magnitude encode in int16 — when no residual saturates (checked
    per slab), a two's-complement int16 of a magnitude ≤ 0x7FFF has bit 15
    set exactly when negative, i.e. the int16 bit pattern's top bit *is*
@@ -31,7 +31,7 @@ the way to encoded output while it is still resident:
 
 Output is **byte-identical** to the ``reference`` backend for every input
 (enforced by ``tests/test_backends_conformance.py``); the speedup over
-``pooled`` is recorded in ``BENCH_backends.json`` and gated in CI.
+``reference`` is recorded in ``BENCH_backends.json`` and gated in CI.
 
 Decoding runs the same argument in reverse: instead of four staged
 full-array passes (zero-block scatter → bit un-transpose → sign-magnitude
@@ -44,8 +44,8 @@ until the float32 rows are written out.  Decode magnitudes are masked to
 15 bits, so every per-chunk prefix sum — intermediates included — is
 bounded by ``0x7FFF * chunk_elems``; a single up-front ``uint16``
 max-reduction proves the whole slab fits int32 exactly; chunk geometries
-that might not take the same ``_NeedsExactPath`` fallback to the staged
-pooled decoders, which do int64 arithmetic.  The inverse Lorenzo
+that might not take the same ``_NeedsExactPath`` fallback to the
+reference decoders, which do int64 arithmetic.  The inverse Lorenzo
 itself runs in place as a ladder of vectorized adds along each axis
 (``cumsum``'s element-by-element carry is far slower on short accumulate
 axes; long-chunk 1-D keeps ``cumsum``), and the final dequantize
@@ -54,6 +54,11 @@ output through NumPy's float64 ufunc loop — bit-identical to the staged
 multiply-then-cast.  Decoded arrays are **bit-identical** to
 ``reference`` everywhere; the decode speedup is recorded in
 ``BENCH_decode.json`` and gated in CI alongside the encode gate.
+
+The tile stage alone — flat ``uint16`` codes to and from
+:class:`~repro.core.encoder.EncodedBlocks` — is exported as
+:func:`encode_codes` / :func:`decode_codes` for predictors that produce
+their own code arrays (the interpolation planner).
 """
 
 from __future__ import annotations
@@ -65,21 +70,32 @@ import numpy as np
 from repro import telemetry
 from repro.backends.base import EncodeOutcome, KernelBackend
 from repro.backends.reference import padded_stage_sizes
-from repro.core import hotpath
-from repro.core.bitshuffle import TILE_WORDS
-from repro.core.encoder import BLOCK_WORDS, EncodedBlocks
-from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
-from repro.errors import DecompressionError
-from repro.utils.bits import (
-    _SWAP_DISTANCES,
-    _SWAP_MASKS,
-    pack_bitflags,
-    unpack_bitflags,
+from repro.core.bitshuffle import TILE_WORDS, bitshuffle, bitunshuffle
+from repro.core.encoder import (
+    BLOCK_WORDS,
+    EncodedBlocks,
+    decode_zero_blocks,
+    encode_zero_blocks,
 )
+from repro.core.quantize import (
+    MAX_MAGNITUDE,
+    SIGN_BIT,
+    QuantizerStats,
+    dual_dequantize,
+    dual_quantize,
+)
+from repro.errors import DecompressionError
+from repro.utils.bits import pack_bitflags, unpack_bitflags
 from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import Scratch
 
-__all__ = ["FusedBackend", "TILE_CODES", "TARGET_SLAB_CODES"]
+__all__ = [
+    "FusedBackend",
+    "TILE_CODES",
+    "TARGET_SLAB_CODES",
+    "encode_codes",
+    "decode_codes",
+]
 
 #: Quantization codes per bitshuffle tile (2048 = 4 KiB of uint16).
 TILE_CODES = 2 * TILE_WORDS
@@ -97,6 +113,15 @@ _EXACT_LIMIT = float(2**51)
 _I32_LIMIT = 2**31
 
 
+#: Masked-swap transpose: one column-pair mask per swap distance
+#: j = 16, 8, 4, 2, 1, selecting the bit positions whose j-bit is 0.
+_SWAP_DISTANCES = (16, 8, 4, 2, 1)
+_SWAP_MASKS = tuple(
+    np.uint32(m)
+    for m in (0x0000FFFF, 0x00FF00FF, 0x0F0F0F0F, 0x33333333, 0x55555555)
+)
+
+
 class _NeedsExactPath(Exception):
     """Raised when ``max |q|`` breaks the float64-exactness guard."""
 
@@ -108,21 +133,207 @@ def _transpose_bitplanes(B: np.ndarray, scratch: Scratch) -> None:
     The masked-swap network pairs rows ``c`` and ``c ^ j``, so every pass
     operates on contiguous ``(j * M)``-element slices — unlike the
     tile-major layout, where the ``j in (1, 2, 4)`` passes degrade to
-    stride-``j`` inner loops.  Same arithmetic as
-    :func:`repro.utils.bits.bit_transpose_32x32_fast`, hence bit-exact.
+    stride-``j`` inner loops.  This is the classic O(log 32) block-swap
+    transpose (Hacker's Delight §7-3, oriented for little-endian bit/word
+    indexing): a permutation of the same bits as the ballot-style
+    :func:`repro.utils.bits.bit_transpose_32x32`, hence bit-exact.
     """
     M = B.shape[1]
     for j, mask in zip(_SWAP_DISTANCES, _SWAP_MASKS):
         pairs = B.reshape(32 // (2 * j), 2, j, M)
-        lo = pairs[:, 0]
-        hi = pairs[:, 1]
+        lo = pairs[:, 0]  # word rows whose j-bit is 0
+        hi = pairs[:, 1]  # word rows whose j-bit is 1
         t = scratch.take("fz.swap", lo.shape, np.uint32)
+        # swap bit (r, c+j) of lo with bit (r+j, c) of hi for every bit
+        # column c whose j-bit is 0: t = ((lo >> j) ^ hi) & mask, then
+        # hi ^= t and lo ^= t << j
         np.right_shift(lo, j, out=t)
         np.bitwise_xor(t, hi, out=t)
         np.bitwise_and(t, mask, out=t)
         np.bitwise_xor(hi, t, out=hi)
         np.left_shift(t, j, out=t)
         np.bitwise_xor(lo, t, out=lo)
+
+
+def _encode_tiles(
+    codes: np.ndarray, scratch: Scratch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bitshuffle + zero-block encode a whole number of tiles.
+
+    ``codes`` is contiguous ``uint16`` whose length is a multiple of
+    :data:`TILE_CODES`; returns the tiles' packed flag bytes and literal
+    words.  Tiles are independent, so a stream can be encoded piecewise and
+    the parts joined by :func:`_join_tiles`.
+    """
+    flat = codes.view(np.uint32).reshape(-1, 32)
+    n_tiles = flat.shape[0] // 32
+    M = n_tiles * 32
+    B = scratch.take("fz.planes", (32, M), np.uint32)
+    np.copyto(B, flat.T)
+    _transpose_bitplanes(B, scratch)
+    # per-block OR without materializing the word-transposed layout:
+    # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]
+    grp = B.reshape(32, n_tiles, 8, BLOCK_WORDS)
+    acc = scratch.take("fz.acc", (32, n_tiles, 8), np.uint32)
+    np.bitwise_or(grp[..., 0], grp[..., 1], out=acc)
+    for w in range(2, BLOCK_WORDS):
+        np.bitwise_or(acc, grp[..., w], out=acc)
+    bf = scratch.take("fz.bf", (n_tiles * 256,), bool)
+    np.not_equal(acc.transpose(1, 0, 2), 0, out=bf.reshape(n_tiles, 32, 8))
+    # gather only the nonzero blocks, straight from the plane layout
+    idx = np.nonzero(bf)[0]
+    c = (idx >> 3) & 31
+    tm = ((idx >> 8) << 3) | (idx & 7)
+    literals = B.reshape(32, n_tiles * 8, BLOCK_WORDS)[c, tm].reshape(-1)
+    return pack_bitflags(bf), literals
+
+
+def _join_tiles(parts: list[tuple[np.ndarray, np.ndarray]]) -> EncodedBlocks:
+    """Concatenate :func:`_encode_tiles` outputs into one block stream."""
+    if not parts:
+        return EncodedBlocks(
+            bitflags=np.zeros(0, np.uint8),
+            literals=np.zeros(0, np.uint32),
+            n_blocks=0,
+            n_nonzero=0,
+        )
+    literals = np.concatenate([lit for _, lit in parts])
+    return EncodedBlocks(
+        bitflags=np.concatenate([flags for flags, _ in parts]),
+        literals=literals,
+        n_blocks=sum(flags.size * 8 for flags, _ in parts),
+        n_nonzero=literals.size // BLOCK_WORDS,
+    )
+
+
+def encode_codes(codes: np.ndarray, scratch: Scratch) -> EncodedBlocks:
+    """Bitshuffle + zero-block encode flat ``uint16`` codes.
+
+    Byte-identical to ``encode_zero_blocks(bitshuffle(codes))``: the codes
+    are zero-padded to whole tiles and streamed through the fused tile
+    kernel in cache-sized batches, so no shuffled copy of the whole array
+    is ever materialized.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.uint16).reshape(-1)
+    n_whole = codes.size - codes.size % TILE_CODES
+    parts = [
+        _encode_tiles(codes[a : min(a + TARGET_SLAB_CODES, n_whole)], scratch)
+        for a in range(0, n_whole, TARGET_SLAB_CODES)
+    ]
+    if n_whole < codes.size:
+        pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
+        rest = codes.size - n_whole
+        pend[:rest] = codes[n_whole:]
+        pend[rest:] = 0
+        parts.append(_encode_tiles(pend, scratch))
+    return _join_tiles(parts)
+
+
+def _checked_blocks(
+    encoded: EncodedBlocks, n_codes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a block stream holding ``n_codes`` codes.
+
+    Mirrors the staged decoders' ladder — ``decode_zero_blocks`` then
+    ``bitunshuffle``: same conditions, same messages, same order — so a
+    crafted stream fails identically whichever path decodes it.  Returns
+    the unpacked byte flags, the literal blocks, and every tile's first
+    literal block (an exclusive cumsum of per-tile flag popcounts, so any
+    tile range scatters without a global pass).
+    """
+    n_blocks = int(encoded.n_blocks)
+    if n_blocks < 0:
+        raise DecompressionError(f"negative block count {n_blocks} in stream")
+    n_nonzero = int(encoded.n_nonzero)
+    if not 0 <= n_nonzero <= n_blocks:
+        raise DecompressionError(
+            f"stream claims {n_nonzero} non-zero blocks of {n_blocks}"
+        )
+    if int(encoded.bitflags.size) != (n_blocks + 7) // 8:
+        raise DecompressionError(
+            f"flag array is {int(encoded.bitflags.size)} bytes, "
+            f"{n_blocks} blocks need {(n_blocks + 7) // 8}"
+        )
+    try:
+        byteflags = unpack_bitflags(encoded.bitflags, encoded.n_blocks)
+    except ValueError as exc:
+        raise DecompressionError(str(exc)) from exc
+    n_set = int(np.count_nonzero(byteflags))
+    if n_set != encoded.n_nonzero:
+        raise DecompressionError(
+            f"flag array has {n_set} set bits but stream claims {encoded.n_nonzero}"
+        )
+    literals = np.ascontiguousarray(encoded.literals, dtype=np.uint32)
+    if literals.size != encoded.n_nonzero * BLOCK_WORDS:
+        raise DecompressionError(
+            "literal payload length does not match non-zero block count"
+        )
+    n_words = encoded.n_blocks * BLOCK_WORDS
+    if n_words % TILE_WORDS:
+        raise DecompressionError("word count must be a multiple of TILE_WORDS")
+    if not 0 <= n_codes <= 2 * n_words:
+        raise DecompressionError(
+            f"stream holds {2 * n_words} codes, {n_codes} requested"
+        )
+    n_tiles = n_blocks // 256
+    tile_start = np.zeros(n_tiles + 1, dtype=np.int64)
+    np.cumsum(
+        byteflags.reshape(n_tiles, 256).sum(axis=1, dtype=np.int64),
+        out=tile_start[1:],
+    )
+    return byteflags, literals.reshape(-1, BLOCK_WORDS), tile_start
+
+
+def _decode_tiles(
+    byteflags: np.ndarray,
+    lit_blocks: np.ndarray,
+    tile_start: np.ndarray,
+    t_lo: int,
+    t_hi: int,
+    scratch: Scratch,
+) -> np.ndarray:
+    """Codes of tiles ``[t_lo, t_hi)`` as a scratch-backed ``uint16`` view.
+
+    Zero-block scatter straight into the bit-plane-major layout (batch
+    flag ``t*256 + c*8 + m`` is block ``B[c, t*32 + 4m : t*32 + 4m + 4]``),
+    then the masked-swap network once more — it is an involution, so it
+    undoes the encoder's transpose.
+    """
+    n_tiles = t_hi - t_lo
+    M = n_tiles * 32
+    B = scratch.take("fzd.planes", (32, M), np.uint32)
+    B.fill(0)
+    idx = np.nonzero(byteflags[t_lo * 256 : t_hi * 256])[0]
+    if idx.size:
+        B.reshape(32, n_tiles * 8, BLOCK_WORDS)[
+            (idx >> 3) & 31, ((idx >> 8) << 3) | (idx & 7)
+        ] = lit_blocks[tile_start[t_lo] : tile_start[t_hi]]
+    _transpose_bitplanes(B, scratch)
+    cm32 = scratch.take("fzd.cm32", (M, 32), np.uint32)
+    np.copyto(cm32, B.T)
+    return cm32.reshape(-1).view(np.uint16)
+
+
+def decode_codes(
+    encoded: EncodedBlocks, n_codes: int, scratch: Scratch
+) -> np.ndarray:
+    """Invert :func:`encode_codes`: the first ``n_codes`` flat codes.
+
+    Bit-identical to ``bitunshuffle(decode_zero_blocks(encoded), n_codes)``
+    and runs the same validation ladder.  The result is backed by
+    ``scratch``: consume it before the arena is reused.
+    """
+    n_codes = int(n_codes)
+    byteflags, lit_blocks, tile_start = _checked_blocks(encoded, n_codes)
+    out = scratch.take("fzd.codes", (n_codes,), np.uint16)
+    for a in range(0, n_codes, TARGET_SLAB_CODES):
+        b = min(a + TARGET_SLAB_CODES, n_codes)
+        tiles = _decode_tiles(
+            byteflags, lit_blocks, tile_start,
+            a // TILE_CODES, -(-b // TILE_CODES), scratch,
+        )
+        out[a:b] = tiles[: b - a]
+    return out
 
 
 def _fused_encode_codes(
@@ -148,36 +359,12 @@ def _fused_encode_codes(
     codes_rm = scratch.take("fz.c16", (slab_rows,) + inner_p, np.uint16)
     pend = scratch.take("fz.pend", (TILE_CODES,), np.uint16)
     n_pend = 0
-    flags_parts: list[np.ndarray] = []
-    lit_parts: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     n_sat = 0
     max_abs = 0
 
     def encode_tiles(codes_part: np.ndarray) -> None:
-        """Bitshuffle + zero-block encode a whole number of tiles."""
-        flat = codes_part.view(np.uint32).reshape(-1, 32)
-        n_tiles = flat.shape[0] // 32
-        M = n_tiles * 32
-        B = scratch.take("fz.planes", (32, M), np.uint32)
-        np.copyto(B, flat.T)
-        _transpose_bitplanes(B, scratch)
-        # per-block OR without materializing the word-transposed layout:
-        # shuffled block (t, c, m) is B[c, t*32 + 4m : t*32 + 4m + 4]
-        grp = B.reshape(32, n_tiles, 8, BLOCK_WORDS)
-        acc = scratch.take("fz.acc", (32, n_tiles, 8), np.uint32)
-        np.bitwise_or(grp[..., 0], grp[..., 1], out=acc)
-        for w in range(2, BLOCK_WORDS):
-            np.bitwise_or(acc, grp[..., w], out=acc)
-        bf = scratch.take("fz.bf", (n_tiles * 256,), bool)
-        np.not_equal(acc.transpose(1, 0, 2), 0, out=bf.reshape(n_tiles, 32, 8))
-        flags_parts.append(pack_bitflags(bf))
-        # gather only the nonzero blocks, straight from the plane layout
-        idx = np.nonzero(bf)[0]
-        c = (idx >> 3) & 31
-        tm = ((idx >> 8) << 3) | (idx & 7)
-        lit_parts.append(
-            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[c, tm].reshape(-1)
-        )
+        parts.append(_encode_tiles(codes_part, scratch))
 
     def flush_tiles(codes_cm: np.ndarray) -> None:
         """Emit whole tiles from contiguous chunk-major codes + the carry."""
@@ -282,19 +469,7 @@ def _fused_encode_codes(
         pend[n_pend:] = 0  # zero-pad the final partial tile, as reference
         n_pend = 0
         encode_tiles(pend)
-    bitflags = (
-        np.concatenate(flags_parts) if flags_parts else np.zeros(0, np.uint8)
-    )
-    literals = (
-        np.concatenate(lit_parts) if lit_parts else np.zeros(0, np.uint32)
-    )
-    encoded = EncodedBlocks(
-        bitflags=bitflags,
-        literals=literals,
-        n_blocks=sum(fp.size * 8 for fp in flags_parts),
-        n_nonzero=literals.size // BLOCK_WORDS,
-    )
-    return encoded, padded, QuantizerStats(n_sat, 0, max_abs)
+    return _join_tiles(parts), padded, QuantizerStats(n_sat, 0, max_abs)
 
 
 def _fused_decode_codes(
@@ -307,48 +482,15 @@ def _fused_decode_codes(
 ) -> np.ndarray:
     """The fused slab decode loop.  See the module docstring for the idea.
 
-    Validation mirrors the staged decoders' ladder (same conditions, same
-    messages, same order), so crafted streams fail identically whichever
+    Validation is :func:`_checked_blocks` followed by the dequantizer's
+    chunk-alignment check, so crafted streams fail identically whichever
     backend decodes them.
     """
-    # -- validation ladder (decode_zero_blocks / bitunshuffle / dequantize) --
-    n_blocks = int(encoded.n_blocks)
-    if n_blocks < 0:
-        raise DecompressionError(f"negative block count {n_blocks} in stream")
-    n_nonzero = int(encoded.n_nonzero)
-    if not 0 <= n_nonzero <= n_blocks:
-        raise DecompressionError(
-            f"stream claims {n_nonzero} non-zero blocks of {n_blocks}"
-        )
-    if int(encoded.bitflags.size) != (n_blocks + 7) // 8:
-        raise DecompressionError(
-            f"flag array is {int(encoded.bitflags.size)} bytes, "
-            f"{n_blocks} blocks need {(n_blocks + 7) // 8}"
-        )
-    try:
-        byteflags = unpack_bitflags(encoded.bitflags, encoded.n_blocks)
-    except ValueError as exc:
-        raise DecompressionError(str(exc)) from exc
-    n_set = int(np.count_nonzero(byteflags))
-    if n_set != encoded.n_nonzero:
-        raise DecompressionError(
-            f"flag array has {n_set} set bits but stream claims {encoded.n_nonzero}"
-        )
-    literals = np.ascontiguousarray(encoded.literals, dtype=np.uint32)
-    if literals.size != encoded.n_nonzero * BLOCK_WORDS:
-        raise DecompressionError(
-            "literal payload length does not match non-zero block count"
-        )
-    n_words = encoded.n_blocks * BLOCK_WORDS
-    if n_words % TILE_WORDS:
-        raise DecompressionError("word count must be a multiple of TILE_WORDS")
     padded = tuple(int(p) for p in padded_shape)
     nd = len(padded)
-    n_codes = math.prod(padded)
-    if not 0 <= n_codes <= 2 * n_words:
-        raise DecompressionError(
-            f"stream holds {2 * n_words} codes, {n_codes} requested"
-        )
+    byteflags, lit_blocks, tile_start = _checked_blocks(
+        encoded, math.prod(padded)
+    )
     chunk = chunk_shape_for(nd, chunk)
     if any(p % c for p, c in zip(padded, chunk)):
         raise DecompressionError(
@@ -364,16 +506,6 @@ def _fused_decode_codes(
     slab_rows = max(1, TARGET_SLAB_CODES // (c0 * inner_n)) * c0
     slab_rows = min(slab_rows, padded[0])
     inv = np.float64(2.0 * eb_abs)
-
-    # literal-block start offset of every tile: exclusive cumsum of per-tile
-    # flag popcounts, so any tile range scatters without a global pass
-    n_tiles_total = encoded.n_blocks // 256
-    lit_tile_start = np.zeros(n_tiles_total + 1, dtype=np.int64)
-    np.cumsum(
-        byteflags.reshape(n_tiles_total, 256).sum(axis=1, dtype=np.int64),
-        out=lit_tile_start[1:],
-    )
-    lit_blocks = literals.reshape(-1, BLOCK_WORDS)
 
     # chunk-major -> row-major scatter: the encoder's gather permutation,
     # applied through a transposed destination view
@@ -399,26 +531,9 @@ def _fused_decode_codes(
         hi = b * inner_n
         t_lo = lo // TILE_CODES
         t_hi = -(-hi // TILE_CODES)
-        n_tiles = t_hi - t_lo
-        M = n_tiles * 32
-        # zero-block scatter straight into the bit-plane-major layout:
-        # batch flag t*256 + c*8 + m is block B[c, t*32 + 4m : t*32 + 4m + 4]
-        B = scratch.take("fzd.planes", (32, M), np.uint32)
-        B.fill(0)
-        bf = byteflags[t_lo * 256 : t_hi * 256]
-        idx = np.nonzero(bf)[0]
-        if idx.size:
-            B.reshape(32, n_tiles * 8, BLOCK_WORDS)[
-                (idx >> 3) & 31, ((idx >> 8) << 3) | (idx & 7)
-            ] = lit_blocks[lit_tile_start[t_lo] : lit_tile_start[t_hi]]
-        # the masked-swap network is an involution: one more pass undoes
-        # the encoder's transpose
-        _transpose_bitplanes(B, scratch)
-        cm32 = scratch.take("fzd.cm32", (M, 32), np.uint32)
-        np.copyto(cm32, B.T)
-        sl = cm32.reshape(-1).view(np.uint16)[
-            lo - t_lo * TILE_CODES : hi - t_lo * TILE_CODES
-        ]
+        sl = _decode_tiles(
+            byteflags, lit_blocks, tile_start, t_lo, t_hi, scratch
+        )[lo - t_lo * TILE_CODES : hi - t_lo * TILE_CODES]
         # un-gather chunk-major -> row-major (1-D is already row-major)
         g_rows = rows // c0
         view_shape = (g_rows, c0)
@@ -436,7 +551,7 @@ def _fused_decode_codes(
         # prod(chunk) bounds them all.  One cheap uint16 reduction proves
         # the whole slab fits int32 (default chunks can never trip it:
         # 0x7FFF * 512 << 2**31); oversized custom chunks take the exact
-        # staged path instead
+        # reference path instead
         f = scratch.take("fzd.i32a", view_shape, np.int32)
         bsrc = cr.reshape(view_shape)
         mag = scratch.take("fzd.m16", view_shape, np.uint16)
@@ -496,16 +611,13 @@ class FusedBackend(KernelBackend):
                 )
         except _NeedsExactPath:
             # data/eb ratio beyond float64-exact Lorenzo territory: the
-            # staged pooled path does int64 arithmetic and stays
-            # byte-identical by its own contract
+            # reference kernels do int64 arithmetic and define the bytes
             with telemetry.span("stage.quantize"):
-                codes, padded_shape, stats = hotpath.dual_quantize_pooled(
-                    data, eb_abs, chunk, scratch
-                )
+                codes, padded_shape, stats = dual_quantize(data, eb_abs, chunk)
             with telemetry.span("stage.bitshuffle"):
-                shuffled = hotpath.bitshuffle_pooled(codes, scratch)
+                shuffled = bitshuffle(codes)
             with telemetry.span("stage.encode"):
-                encoded = hotpath.encode_zero_blocks_pooled(shuffled, scratch)
+                encoded = encode_zero_blocks(shuffled)
         codes_bytes, shuffled_bytes = padded_stage_sizes(padded_shape)
         return EncodeOutcome(
             encoded=encoded,
@@ -531,15 +643,15 @@ class FusedBackend(KernelBackend):
                     encoded, padded_shape, orig_shape, eb_abs, chunk, scratch
                 )
         except _NeedsExactPath:
-            # a prefix sum crossed float64-exact territory (only crafted or
-            # pathological streams get here): the staged pooled path runs
-            # the inverse Lorenzo in int64 and is bit-identical by contract
+            # a prefix sum might overflow int32 (only crafted or
+            # pathological streams get here): the reference decoders run
+            # the inverse Lorenzo in int64 and define the result
             n_codes = int(np.prod(padded_shape))
             with telemetry.span("stage.decode"):
-                words = hotpath.decode_zero_blocks_pooled(encoded, scratch)
+                words = decode_zero_blocks(encoded)
             with telemetry.span("stage.bitunshuffle"):
-                codes = hotpath.bitunshuffle_pooled(words, n_codes, scratch)
+                codes = bitunshuffle(words, n_codes)
             with telemetry.span("stage.dequantize"):
-                return hotpath.dual_dequantize_pooled(
-                    codes, padded_shape, orig_shape, eb_abs, chunk, scratch
+                return dual_dequantize(
+                    codes, padded_shape, orig_shape, eb_abs, chunk
                 )

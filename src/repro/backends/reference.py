@@ -1,4 +1,4 @@
-"""The ``reference`` backend: the plain, unpooled ``core/*`` kernels.
+"""The ``reference`` backend: the plain, allocating ``core/*`` kernels.
 
 This is the semantics-defining implementation — every other backend's
 output is byte-compared against it.  Stage structure and telemetry span
@@ -37,7 +37,7 @@ def padded_stage_sizes(padded_shape: tuple[int, ...]) -> tuple[int, int]:
 
 
 class ReferenceBackend(KernelBackend):
-    """Unpooled reference kernels (allocating, simplest possible code)."""
+    """Allocating reference kernels (simplest possible code)."""
 
     name = "reference"
 

@@ -47,12 +47,14 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry
-from repro.core.bitshuffle import bitshuffle, bitunshuffle
-from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks, decode_zero_blocks, encode_zero_blocks
+from repro.backends.fused import decode_codes, encode_codes
+from repro.backends.reference import padded_stage_sizes
+from repro.core.encoder import BLOCK_BYTES, BLOCK_WORDS, EncodedBlocks
 from repro.core.format import MAX_ELEMENTS, implied_block_count
 from repro.core.pipeline import CompressionResult
 from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
 from repro.errors import ConfigError, DecompressionError, FormatError
+from repro.utils.pool import Scratch
 from repro.utils.safeio import BoundedReader
 from repro.utils.validation import ensure_float32, ensure_ndim, ensure_positive
 
@@ -294,8 +296,9 @@ def interp_compress(
     ``impl`` selects the pass implementation (``"reference"`` /
     ``"vectorized"``; default the ``REPRO_INTERP_IMPL`` environment
     variable, then vectorized) — output bytes are identical for both.
-    ``scratch`` routes the bitshuffle/zero-block stages through the pooled
-    hotpath kernels (byte-identical by the hotpath contract).
+    The residual codes go through the fused backend's bitshuffle +
+    zero-block tile kernels; ``scratch`` is an optional arena for their
+    temporaries (the engine passes its worker's).
     """
     data = ensure_ndim(ensure_float32(data))
     eb_abs = ensure_positive(eb_abs, "eb_abs")
@@ -316,19 +319,11 @@ def interp_compress(
         n_sat, max_abs = _run_levels(
             rec, src, codes, anchor_log2, eb2, True, impl_pass
         )
-    flat = codes.reshape(-1)
-    if scratch is not None:
-        from repro.core.hotpath import bitshuffle_pooled, encode_zero_blocks_pooled
-
-        with telemetry.span("stage.bitshuffle"):
-            words = bitshuffle_pooled(flat, scratch)
-        with telemetry.span("stage.encode"):
-            encoded = encode_zero_blocks_pooled(words, scratch)
-    else:
-        with telemetry.span("stage.bitshuffle"):
-            words = bitshuffle(flat)
-        with telemetry.span("stage.encode"):
-            encoded = encode_zero_blocks(words)
+    if scratch is None:
+        scratch = Scratch()
+    with telemetry.span("stage.fused_encode"):
+        encoded = encode_codes(codes, scratch)
+    codes_bytes, shuffled_bytes = padded_stage_sizes(data.shape)
     anchors_le = np.ascontiguousarray(anchors, dtype=_ANCHOR_DTYPE)
     header = struct.pack(
         _HEADER_FMT,
@@ -362,8 +357,8 @@ def interp_compress(
         n_blocks=encoded.n_blocks,
         n_nonzero_blocks=encoded.n_nonzero,
         stage_sizes={
-            "codes_bytes": int(flat.nbytes),
-            "shuffled_bytes": int(words.nbytes),
+            "codes_bytes": codes_bytes,
+            "shuffled_bytes": shuffled_bytes,
             "flags_bytes": int(encoded.bitflags.nbytes),
             "literals_bytes": int(encoded.literals.nbytes),
             "anchors_bytes": int(anchors_le.nbytes),
@@ -539,16 +534,9 @@ def interp_decompress(
     encoded = EncodedBlocks(
         bitflags=flags, literals=literals, n_blocks=n_blocks, n_nonzero=n_nonzero
     )
-    n_codes = math.prod(shape)
-    if scratch is not None:
-        from repro.core.hotpath import bitunshuffle_pooled, decode_zero_blocks_pooled
-
-        words = decode_zero_blocks_pooled(encoded, scratch)
-        codes_flat = bitunshuffle_pooled(words, n_codes, scratch)
-    else:
-        words = decode_zero_blocks(encoded)
-        codes_flat = bitunshuffle(words, n_codes)
-    codes = codes_flat.reshape(shape)
+    if scratch is None:
+        scratch = Scratch()
+    codes = decode_codes(encoded, math.prod(shape), scratch).reshape(shape)
     with telemetry.span("stage.interp.reconstruct"):
         eb2 = 2.0 * eb_abs
         rec = np.empty(shape, dtype=np.float64)

@@ -21,8 +21,8 @@ of named ``multiprocessing.shared_memory`` segments.  The engine's
 :class:`ShmDescriptor` tuples instead of pickled ndarrays, and unlinks every
 segment deterministically — the lifecycle rules are spelled out on the class.
 
-Pooled code paths are required to be *bit-identical* to the unpooled
-reference paths — `tests/test_engine_differential.py` and
+Code paths that borrow arenas are required to be *bit-identical* to the
+allocating reference paths — `tests/test_engine_differential.py` and
 `tests/test_engine_shm.py` enforce this across the jobs x chunking x pool x
 transport matrix.
 """

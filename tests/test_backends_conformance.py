@@ -16,9 +16,12 @@ A representative fast subset runs in tier-1; the exhaustive matrix is
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.backends import available_backends, get_backend, resolve_backend
 from repro.core.pipeline import FZGPU
 from repro.errors import ConfigError, DecompressionError
@@ -78,7 +81,7 @@ def assert_conformant(backend: str, data: np.ndarray, eb: float, mode: str):
 
 
 def test_registry_lists_required_backends():
-    assert {"reference", "pooled", "fused"} <= set(BACKENDS)
+    assert BACKENDS == ("reference", "fused")
 
 
 def test_unknown_backend_rejected():
@@ -87,13 +90,15 @@ def test_unknown_backend_rejected():
 
 
 def test_resolve_auto_and_env(monkeypatch):
-    assert resolve_backend(None, pooled=False).name == "reference"
-    assert resolve_backend(None, pooled=True).name == "pooled"
-    assert resolve_backend("auto", pooled=True).name == "pooled"
-    monkeypatch.setenv("REPRO_BACKEND", "fused")
-    assert resolve_backend(None, pooled=True).name == "fused"
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    # auto is fused whether or not the caller has a scratch arena
+    assert resolve_backend(None).name == "fused"
+    assert resolve_backend(None, pooled=False).name == "fused"
+    assert resolve_backend("auto", pooled=True).name == "fused"
+    monkeypatch.setenv("REPRO_BACKEND", "reference")
+    assert resolve_backend(None, pooled=True).name == "reference"
     # explicit selection beats the environment
-    assert resolve_backend("reference", pooled=True).name == "reference"
+    assert resolve_backend("fused").name == "fused"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -143,6 +148,62 @@ def test_decode_rejects_bad_code_count(backend):
         with pytest.raises(DecompressionError):
             bad_shape = (bad, 1)
             b.decode(out.encoded, bad_shape, (64, 64), 1e-3, (16, 16))
+
+
+def test_fused_decode_exact_path_fallback():
+    """Saturated codes in a huge chunk can overflow fused's int32 prefix
+    sums (0x7FFF * 512 * 256 >= 2**31), so fused decode falls back to the
+    reference int64 kernels — and must still match reference exactly."""
+    rng = np.random.default_rng(0)
+    data = (rng.standard_normal((512, 256)) * 1e3).astype(np.float32)
+    chunk = (512, 256)
+    ref = FZGPU(chunk=chunk, backend="reference")
+    result = ref.compress(data, 1e-6, "abs")
+    assert result.quantizer.n_saturated > 0
+    rec = telemetry.get_recorder()
+    telemetry.enable()
+    rec.clear()
+    try:
+        got = FZGPU(chunk=chunk, backend="fused").decompress(result.stream)
+        spans = [e.get("name") for e in rec.snapshot()["events"]]
+    finally:
+        telemetry.disable()
+        rec.clear()
+    assert np.array_equal(got, ref.decompress(result.stream))
+    assert "stage.fused_decode" in spans
+    for stage in ("stage.decode", "stage.bitunshuffle", "stage.dequantize"):
+        assert stage in spans
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBackendDecodeHardening:
+    """Every backend's decode rejects the same crafted-count streams."""
+
+    def _encode(self, backend):
+        b = get_backend(backend)
+        data = np.linspace(-1, 1, 64 * 64, dtype=np.float32).reshape(64, 64)
+        return b, b.encode(data, 1e-3, (16, 16))
+
+    def test_negative_block_count(self, backend):
+        b, out = self._encode(backend)
+        bad = dataclasses.replace(out.encoded, n_blocks=-1)
+        with pytest.raises(DecompressionError):
+            b.decode(bad, out.padded_shape, (64, 64), 1e-3, (16, 16))
+
+    def test_oversized_flag_array(self, backend):
+        b, out = self._encode(backend)
+        padded = np.concatenate(
+            [out.encoded.bitflags, np.zeros(8, dtype=out.encoded.bitflags.dtype)]
+        )
+        bad = dataclasses.replace(out.encoded, bitflags=padded)
+        with pytest.raises(DecompressionError):
+            b.decode(bad, out.padded_shape, (64, 64), 1e-3, (16, 16))
+
+    def test_nonzero_count_lies(self, backend):
+        b, out = self._encode(backend)
+        bad = dataclasses.replace(out.encoded, n_nonzero=out.encoded.n_nonzero + 1)
+        with pytest.raises(DecompressionError):
+            b.decode(bad, out.padded_shape, (64, 64), 1e-3, (16, 16))
 
 
 @pytest.mark.parametrize("enc", BACKENDS)

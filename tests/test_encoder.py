@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backends.fused import decode_codes
+from repro.core.bitshuffle import TILE_WORDS, bitshuffle
 from repro.core.encoder import (
     BLOCK_BYTES,
     BLOCK_WORDS,
@@ -16,6 +20,7 @@ from repro.core.encoder import (
     encode_zero_blocks,
 )
 from repro.errors import DecompressionError
+from repro.utils.pool import Scratch
 
 
 def _stream(rng, n_blocks: int, zero_prob: float) -> np.ndarray:
@@ -98,6 +103,98 @@ class TestDecodeValidation:
         bad = EncodedBlocks(enc.bitflags[:1], enc.literals, enc.n_blocks, enc.n_nonzero)
         with pytest.raises(DecompressionError):
             decode_zero_blocks(bad)
+
+
+_HARDENING_TILES = 2
+_HARDENING_CODES = 2 * TILE_WORDS * _HARDENING_TILES
+
+
+def _hardening_words() -> np.ndarray:
+    """Tile-aligned words mixing zero and literal blocks."""
+    rng = np.random.default_rng(41)
+    words = rng.integers(
+        0, 2**32, size=_HARDENING_TILES * TILE_WORDS, dtype=np.uint32
+    )
+    words.reshape(-1, 4)[::3] = 0
+    return words
+
+
+def _decode_words(encoded: EncodedBlocks) -> np.ndarray:
+    return decode_zero_blocks(encoded)
+
+
+def _decode_fused_codes(encoded: EncodedBlocks) -> np.ndarray:
+    # decode_codes also undoes the bitshuffle; re-shuffle to compare words
+    return bitshuffle(decode_codes(encoded, _HARDENING_CODES, Scratch()))
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [_decode_words, _decode_fused_codes],
+    ids=["decode_zero_blocks", "fused_decode_codes"],
+)
+class TestDecodeZeroBlocksHardening:
+    """Crafted block counts and flag lengths fail up front, as
+    :class:`DecompressionError`, in the staged decoder and in the fused
+    flat tile decoder alike — never as a downstream NumPy ``ValueError``
+    from a negative reshape or a mis-sized scatter."""
+
+    def test_roundtrip_still_exact(self, decode):
+        words = _hardening_words()
+        np.testing.assert_array_equal(decode(encode_zero_blocks(words)), words)
+
+    def test_negative_block_count(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, n_blocks=-1)
+        with pytest.raises(DecompressionError, match="negative block count"):
+            decode(bad)
+
+    def test_huge_negative_block_count(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, n_blocks=-(2**40))
+        with pytest.raises(DecompressionError, match="negative block count"):
+            decode(bad)
+
+    def test_negative_nonzero_count(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, n_nonzero=-5)
+        with pytest.raises(DecompressionError, match="non-zero blocks"):
+            decode(bad)
+
+    def test_nonzero_count_beyond_blocks(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, n_nonzero=encoded.n_blocks + 1)
+        with pytest.raises(DecompressionError, match="non-zero blocks"):
+            decode(bad)
+
+    def test_flag_array_too_long(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        padded = np.concatenate(
+            [encoded.bitflags, np.zeros(3, dtype=encoded.bitflags.dtype)]
+        )
+        bad = dataclasses.replace(encoded, bitflags=padded)
+        with pytest.raises(DecompressionError, match="flag array is"):
+            decode(bad)
+
+    def test_flag_array_too_short(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, bitflags=encoded.bitflags[:-1])
+        with pytest.raises(DecompressionError):
+            decode(bad)
+
+    def test_flag_popcount_mismatch(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        flipped = encoded.bitflags.copy()
+        flipped[0] ^= 0xFF
+        bad = dataclasses.replace(encoded, bitflags=flipped)
+        with pytest.raises(DecompressionError, match="set bits"):
+            decode(bad)
+
+    def test_literal_payload_mismatch(self, decode):
+        encoded = encode_zero_blocks(_hardening_words())
+        bad = dataclasses.replace(encoded, literals=encoded.literals[:-4])
+        with pytest.raises(DecompressionError, match="literal payload"):
+            decode(bad)
 
 
 class TestOffsets:

@@ -2,10 +2,11 @@
 
 The engine's contract is that parallelism and pooling change wall-clock,
 never bytes.  Every test here compares engine output against the plain
-``FZGPU()`` reference:
+single-shot codec, pinned to the ``reference`` backend where the
+comparison is the point:
 
 * ``compress_batch`` streams are **byte-identical** across the full
-  jobs x pool-kind x pooled matrix;
+  jobs x pool-kind matrix;
 * chunked containers decompress to the **bit-identical** array of the
   unchunked stream, for every rank and for pathologically small chunks;
 * containers survive concatenation, reject corruption, and read the same
@@ -30,7 +31,7 @@ import pytest
 from repro.core.pipeline import FZGPU
 from repro.engine import Engine, iter_segments, plan_chunks, read_containers
 from repro.errors import ConfigError, FormatError, ReproError
-from repro.utils.pool import BufferPool, Scratch
+from repro.utils.pool import Scratch
 
 JOBS_MATRIX = sorted({1, int(os.environ.get("ENGINE_JOBS", "2"))})
 POOL_MATRIX = (
@@ -60,7 +61,7 @@ def fields():
 
 @pytest.fixture(scope="module")
 def reference(fields):
-    fz = FZGPU()
+    fz = FZGPU(backend="reference")
     results = [fz.compress(x, EB, "rel") for x in fields]
     recons = [fz.decompress(r.stream) for r in results]
     return results, recons
@@ -73,10 +74,9 @@ def reference(fields):
 
 @pytest.mark.parametrize("jobs", JOBS_MATRIX)
 @pytest.mark.parametrize("pool", POOL_MATRIX)
-@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "unpooled"])
-def test_batch_matches_single_shot(fields, reference, jobs, pool, pooled):
+def test_batch_matches_single_shot(fields, reference, jobs, pool):
     results, recons = reference
-    with Engine(jobs=jobs, pool=pool, pooled=pooled) as engine:
+    with Engine(jobs=jobs, pool=pool) as engine:
         batch = engine.compress_batch(fields, EB, "rel")
         assert [r.stream for r in batch] == [r.stream for r in results]
         assert [r.eb_abs for r in batch] == [r.eb_abs for r in results]
@@ -101,7 +101,7 @@ def test_proc_worker_codec_cache(fields, reference):
     assert executor._proc_codec(None, "fused") is a
     b = executor._proc_codec((16, 16), "fused")
     assert b is not a
-    assert executor._proc_codec((16, 16), "pooled") is not b
+    assert executor._proc_codec((16, 16), "reference") is not b
     assert len(executor._PROC_CODECS) == 3
     executor._PROC_CODECS.clear()
 
@@ -270,8 +270,8 @@ def test_scratch_zero_allocation_steady_state(fields):
 
 
 def test_buffer_pool_reuses_scratches(fields):
-    pool = BufferPool()
-    with Engine(jobs=1, pooled=True, buffer_pool=pool) as engine:
+    with Engine(jobs=1) as engine:
+        pool = engine.buffer_pool
         engine.compress_batch(fields, EB, "rel")
         first_created = pool.n_created
         warm_allocs = pool.n_allocations

@@ -411,7 +411,6 @@ class TestEngineIntegration:
             dict(jobs=2, pool="process"),
             dict(jobs=1, backend="reference"),
             dict(jobs=2, backend="fused"),
-            dict(jobs=2, backend="pooled"),
         ):
             with Engine(**kw) as engine:
                 blob = engine.compress_chunked(
