@@ -6,7 +6,7 @@ single-shot codec, pinned to the ``reference`` backend where the
 comparison is the point:
 
 * ``compress_batch`` streams are **byte-identical** across the full
-  jobs x pool-kind matrix;
+  jobs x pool-kind x warm-or-fresh-arena matrix;
 * chunked containers decompress to the **bit-identical** array of the
   unchunked stream, for every rank and for pathologically small chunks;
 * containers survive concatenation, reject corruption, and read the same
@@ -72,11 +72,28 @@ def reference(fields):
 # ---------------------------------------------------------------------------
 
 
+def _dirty_fields():
+    """Fields unlike ``_fields()``, run first to leave stale arena contents."""
+    rng = np.random.default_rng(7)
+    return [
+        rng.standard_normal(6000).astype(np.float32) * 100,
+        rng.standard_normal((50, 41)).astype(np.float32),
+        np.full((9, 10, 11), -2.5, dtype=np.float32),
+    ]
+
+
 @pytest.mark.parametrize("jobs", JOBS_MATRIX)
 @pytest.mark.parametrize("pool", POOL_MATRIX)
-def test_batch_matches_single_shot(fields, reference, jobs, pool):
+@pytest.mark.parametrize("arenas", ["pooled", "unpooled"])
+def test_batch_matches_single_shot(fields, reference, jobs, pool, arenas):
+    """``pooled`` compares a batch run on scratch arenas already dirtied by
+    an earlier batch of other fields; ``unpooled`` one run on a fresh
+    engine's first arenas.  Neither may change a byte."""
     results, recons = reference
     with Engine(jobs=jobs, pool=pool) as engine:
+        if arenas == "pooled":
+            dirty = engine.compress_batch(_dirty_fields(), EB, "rel")
+            engine.decompress_batch([r.stream for r in dirty])
         batch = engine.compress_batch(fields, EB, "rel")
         assert [r.stream for r in batch] == [r.stream for r in results]
         assert [r.eb_abs for r in batch] == [r.eb_abs for r in results]
