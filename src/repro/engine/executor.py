@@ -6,7 +6,15 @@
 * **batching** — ``compress_batch``/``decompress_batch`` run many fields
   through a ``concurrent.futures`` worker pool.  Threads are the default
   (the NumPy kernels release the GIL for the hot loops); a process pool is
-  available for workloads where Python-level overhead dominates.
+  available for workloads where Python-level overhead dominates, and its
+  payloads cross the process boundary through named shared memory where
+  the platform has it (pickled otherwise, or with ``transport="pickle"``).
+* **one data path** — every entry point is source → task plan → one
+  compress or decode map (:meth:`Engine._compress_map` /
+  :meth:`Engine._decompress_map`, the retry loop in
+  :meth:`Engine._run_ordered`) → sink.  Full, region-of-interest and
+  salvage decodes of a container all run on the same
+  :class:`~repro.roi.RoiPlan`; a full decode is the whole-field slab.
 * **buffer pooling** — each worker borrows a
   :class:`~repro.utils.pool.Scratch` arena from a shared
   :class:`~repro.utils.pool.BufferPool`, so steady-state batch throughput
@@ -52,9 +60,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, replace
 from io import BytesIO
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +94,7 @@ from repro.planner import (
     peek_shape,
     plan_id,
 )
-from repro.roi import RoiPlan, RoiTile, plan_roi
+from repro.roi import RoiPlan, RoiTask, RoiTile, plan_roi
 from repro.utils.chunking import chunk_shape_for
 from repro.utils.pool import (
     BufferPool,
@@ -121,8 +130,8 @@ DEFAULT_RETRIES = 2
 #: Hard cap on one exponential-backoff sleep.
 MAX_BACKOFF_S = 2.0
 
-#: Largest payload the shm transport stages per task; bigger items fall back
-#: to pickling for that item.  Writes past /dev/shm capacity die with SIGBUS
+#: Largest payload the shm transport stages per task; bigger items ride the
+#: task pickle instead.  Writes past /dev/shm capacity die with SIGBUS
 #: (tmpfs reserves lazily), which no validation ladder can catch, so huge
 #: one-shot fields belong on the chunked API rather than in one segment.
 MAX_SHM_STAGE_BYTES = 1 << 31
@@ -202,6 +211,14 @@ def plan_chunks(
     row_bytes = 4 * math.prod(shape[1:])
     rows = max(align, int(chunk_bytes // max(row_bytes * align, 1)) * align)
     return [(s, min(s + rows, rows_total)) for s in range(0, rows_total, rows)]
+
+
+class _PlanCounts(NamedTuple):
+    """Per-decode tallies of a container plan (the ``roi.*`` counters)."""
+
+    decoded: int  #: segments decoded through the pool
+    filled: int  #: constant segments filled in the parent
+    bytes_in: int  #: payload bytes read
 
 
 @dataclass(frozen=True)
@@ -321,41 +338,16 @@ def _proc_run(telem: bool, fn, index: int, attempt: int, plan_text: str):
     return result, (rec.take() if telem else None)
 
 
-def _proc_compress(args) -> tuple[CompressionResult, dict | None]:
-    (data, eb, mode, chunk, backend, telem, plan), index, attempt, \
-        plan_text = args
-    return _proc_run(
-        telem,
-        lambda: _compress_task(
-            _proc_codec(chunk, backend), data, eb, mode, plan, _proc_scratch(),
-        ),
-        index,
-        attempt,
-        plan_text,
-    )
-
-
-def _proc_decompress(args) -> tuple[np.ndarray, dict | None]:
-    (stream, chunk, backend, telem), index, attempt, plan_text = args
-    return _proc_run(
-        telem,
-        lambda: decompress_any(
-            stream, codec=_proc_codec(chunk, backend), scratch=_proc_scratch(),
-        ),
-        index,
-        attempt,
-        plan_text,
-    )
-
-
 # ---------------------------------------------------------------------------
-# shared-memory transport (transport="shm"): tasks carry (name, offset,
-# shape, dtype) descriptors instead of pickled arrays.  Workers attach
-# read-only input views and write their payload into a descriptor-addressed
-# output region; only a small marker (plus compression metadata) rides the
-# result pickle.  Items that could not be staged — oversized fields, headers
-# that fail the peek, lease failures — fall back to the pickle payload shape
-# within the same run, so the two transports stay byte-identical.
+# process transport: a task's input is either the array/stream itself
+# (pickled with the task) or a (name, offset, shape, dtype) descriptor into
+# shared memory or a read-only memmap, and its output is either a
+# descriptor-addressed region or nothing.  Workers attach input views and,
+# given an output region, write their payload there and return only a
+# small marker (plus compression metadata); without one the payload rides
+# the result pickle.  transport="pickle" is simply the case where nothing
+# is staged, so both transports share one worker function per direction
+# and stay byte-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +364,7 @@ def _attach_input(src):
     return src
 
 
-def _proc_compress_shm(args) -> tuple[CompressionResult, dict | None]:
+def _proc_compress(args) -> tuple[CompressionResult, dict | None]:
     (src, eb, mode, chunk, backend, telem, plan, out_desc), index, \
         attempt, plan_text = args
 
@@ -392,7 +384,7 @@ def _proc_compress_shm(args) -> tuple[CompressionResult, dict | None]:
     return _proc_run(telem, body, index, attempt, plan_text)
 
 
-def _proc_decompress_shm(args) -> tuple[np.ndarray, dict | None]:
+def _proc_decompress(args) -> tuple[np.ndarray, dict | None]:
     (src, out_desc, chunk, backend, telem), index, attempt, \
         plan_text = args
 
@@ -407,8 +399,8 @@ def _proc_decompress_shm(args) -> tuple[np.ndarray, dict | None]:
             or tuple(arr.shape) != out_desc.shape
             or arr.dtype.str != out_desc.dtype
         ):
-            # the parent pre-sized the region from the header; a stream that
-            # decodes to something else ships inline and is re-checked there
+            # no reserved region, or the stream decoded to something other
+            # than its header promised: ship inline, re-checked by the parent
             return arr
         np.copyto(out_desc.attach(), arr)
         return _ShmRef(int(arr.nbytes))
@@ -427,7 +419,7 @@ def _stream_capacity(nbytes: int) -> int:
 
 
 class _ShmLedger:
-    """Parent-side lease bookkeeping for one shm-transport pool call.
+    """Parent-side lease bookkeeping for one pool call (empty if unstaged).
 
     Every block a task references stays leased until that task's result
     slot is consumed, so retries, pool rebuilds and resubmissions always
@@ -452,26 +444,16 @@ class _ShmLedger:
     ) -> None:
         self._entries[index] = (tuple(inputs), out, shape)
 
-    def out(self, index: int) -> ShmBlock | None:
-        entry = self._entries.get(index)
-        return entry[1] if entry else None
-
-    def shape(self, index: int) -> tuple[int, ...] | None:
-        entry = self._entries.get(index)
-        return entry[2] if entry else None
+    def out(self, index: int) -> tuple[ShmBlock, tuple[int, ...] | None]:
+        """Output block of a staged task, with its pre-sized decode shape."""
+        return self._entries[index][1:]
 
     def release(self, index: int, retire_out: bool = False) -> None:
-        entry = self._entries.pop(index, None)
-        if entry is None:
-            return
-        inputs, out, _ = entry
+        inputs, out, _ = self._entries.pop(index, ((), None, None))
         for block in inputs:
             block.release()
         if out is not None:
-            if retire_out:
-                out.retire()
-            else:
-                out.release()
+            (out.retire if retire_out else out.release)()
 
     def abandon(self) -> None:
         for index in list(self._entries):
@@ -489,8 +471,10 @@ class Engine:
         uses as its own reference.
     pool:
         ``"thread"`` (default; NumPy releases the GIL in the hot kernels)
-        or ``"process"`` (fallback for Python-overhead-bound workloads;
-        fields/streams are pickled across the process boundary).
+        or ``"process"`` (fallback for Python-overhead-bound workloads, and
+        the one whose hung tasks can be killed).  Process workers reach
+        fields and streams through named shared memory by default; see
+        ``transport``.
     chunk:
         Optional FZ-GPU chunk-shape override, forwarded to every codec.
     backend:
@@ -525,13 +509,16 @@ class Engine:
         dispatches on the stream magic, independent of this setting.
     transport:
         How array payloads cross the process-pool boundary.  ``"auto"``
-        (default) uses named shared memory when the pool is ``"process"``,
-        ``jobs > 1`` and the platform supports it, else pickling;
-        ``"pickle"`` forces the legacy path; ``"shm"`` requires shared
-        memory and raises :class:`ConfigError` where it is unavailable.
-        Thread pools and inline runs share address space already, so the
-        knob only affects process pools.  Output bytes are identical for
-        every setting (``tests/test_engine_shm.py``).
+        (default) stages them in named shared memory when the pool is
+        ``"process"``, ``jobs > 1`` and the platform supports it;
+        ``"pickle"`` stages nothing, so payloads ride the task and result
+        pickles; ``"shm"`` requires shared memory and raises
+        :class:`ConfigError` where it is unavailable.  Both transports run
+        the same worker functions, and an item that cannot be staged
+        (oversized, unparsable header, lease failure) is pickled within
+        an shm run.  Thread pools and inline runs share address space
+        already, so the knob only affects process pools.  Output bytes are
+        identical for every setting (``tests/test_engine_shm.py``).
     """
 
     def __init__(
@@ -677,9 +664,9 @@ class Engine:
         """True when this engine's pool calls ride the shm transport."""
         if self.pool_kind != "process" or self.jobs == 1:
             return False
-        if self.transport == "pickle":
-            return False
-        return True if self.transport == "shm" else shm_available()
+        return self.transport == "shm" or (
+            self.transport == "auto" and shm_available()
+        )
 
     def _arena(self) -> SharedArena:
         # serve's event loop (body sink) and its producer threads reach
@@ -765,41 +752,64 @@ class Engine:
             return None
         return shape
 
-    def _shm_compress_items(
-        self, fields: Iterable, eb, mode: str, telem: bool, plan: str,
-        ledger: _ShmLedger,
+    def _compress_items(
+        self, fields: Iterable, eb, mode: str, plan: str, ledger: _ShmLedger,
     ) -> Iterator[tuple]:
+        """Process-worker task tuples for :func:`_proc_compress`.
+
+        With the shm transport each field goes behind a descriptor
+        (:meth:`_stage_field`) and gets a reserved stream region; otherwise
+        the contiguous field itself rides the task pickle.
+        """
+        telem = telemetry.enabled()
+        stage = self._use_shm()
         for i, field in enumerate(fields):
-            payload, inputs = self._stage_field(field)
-            out = out_desc = None
-            if isinstance(payload, (ShmDescriptor, MmapDescriptor)):
-                out = self._try_lease(_stream_capacity(payload.nbytes))
-                if out is not None:
-                    out_desc = out.descriptor(
-                        (out.capacity,), np.uint8, writable=True
-                    )
-            ledger.add(i, inputs, out)
+            out_desc = None
+            if stage:
+                payload, inputs = self._stage_field(field)
+                out = None
+                if isinstance(payload, (ShmDescriptor, MmapDescriptor)):
+                    out = self._try_lease(_stream_capacity(payload.nbytes))
+                    if out is not None:
+                        out_desc = out.descriptor(
+                            (out.capacity,), np.uint8, writable=True
+                        )
+                ledger.add(i, inputs, out)
+            else:
+                payload = np.ascontiguousarray(field)
             yield (
                 payload, eb, mode, self._chunk, self._backend_sel, telem,
                 plan, out_desc,
             )
 
-    def _shm_decompress_items(
-        self, blobs: Iterable[bytes], telem: bool, ledger: _ShmLedger
+    def _decompress_items(
+        self, blobs: Iterable[bytes], ledger: _ShmLedger
     ) -> Iterator[tuple]:
+        """Process-worker task tuples for :func:`_proc_decompress`.
+
+        With the shm transport a stream whose header peeks cleanly is
+        copied into a leased block and gets an output region pre-sized
+        from that header; otherwise the stream rides the task pickle.
+        """
+        telem = telemetry.enabled()
+        stage = self._use_shm()
         for i, blob in enumerate(blobs):
-            src, inputs, out, out_desc = blob, (), None, None
-            shape = self._peek_decode_shape(blob)
-            if shape is not None:
-                inp = self._try_lease(len(blob))
-                if inp is not None:
-                    inp.view(len(blob))[:] = blob
-                    src = inp.descriptor((len(blob),), np.uint8)
-                    inputs = (inp,)
-                    out = self._try_lease(4 * int(math.prod(shape)))
-                    if out is not None:
-                        out_desc = out.descriptor(shape, np.float32, writable=True)
-            ledger.add(i, inputs, out, shape)
+            src, out_desc = blob, None
+            if stage:
+                inputs, out = (), None
+                shape = self._peek_decode_shape(blob)
+                if shape is not None:
+                    inp = self._try_lease(len(blob))
+                    if inp is not None:
+                        inp.view(len(blob))[:] = blob
+                        src = inp.descriptor((len(blob),), np.uint8)
+                        inputs = (inp,)
+                        out = self._try_lease(4 * int(math.prod(shape)))
+                        if out is not None:
+                            out_desc = out.descriptor(
+                                shape, np.float32, writable=True
+                            )
+                ledger.add(i, inputs, out, shape)
             yield (src, out_desc, self._chunk, self._backend_sel, telem)
 
     def _drain_shm(
@@ -826,23 +836,72 @@ class Engine:
         finally:
             ledger.abandon()
 
-    def _rehydrate(self, ledger: _ShmLedger) -> Callable:
-        """Consume callback: copy an shm-resident stream back into bytes."""
+    def _compress_map(
+        self, fields: Iterable, eb, mode: str, plan: str,
+        on_error: str = "raise",
+    ) -> Iterator[CompressionResult]:
+        """Compress ``fields`` through the pool; results keep input order.
+
+        The one compression data path behind every entry point.  Threads
+        and inline runs compress each field in place; process workers get
+        the tuples of :meth:`_compress_items`, and an shm-resident stream
+        is copied back into ``bytes`` before its lease is released.
+        """
+        ledger = _ShmLedger()
+
         def consume(index: int, res: CompressionResult) -> CompressionResult:
             ref = res.stream
             if isinstance(ref, _ShmRef):
-                res = replace(res, stream=bytes(ledger.out(index).view(ref.nbytes)))
+                block, _ = ledger.out(index)
+                res = replace(res, stream=bytes(block.view(ref.nbytes)))
             return res
-        return consume
 
-    def _materialize(self, ledger: _ShmLedger) -> Callable:
-        """Consume callback: copy an shm-resident decode into a fresh array."""
+        return self._drain_shm(
+            self._run_ordered(
+                lambda f, s: _compress_task(
+                    self._codec, np.ascontiguousarray(f), eb, mode, plan, s
+                ),
+                _proc_compress,
+                fields,
+                self._compress_items(fields, eb, mode, plan, ledger),
+                on_error=on_error,
+            ),
+            ledger,
+            consume,
+        )
+
+    def _decompress_map(
+        self, blobs: Iterable[bytes], on_error: str = "raise"
+    ) -> Iterator:
+        """Decode ``blobs`` through the pool; results keep input order.
+
+        The one decode data path behind every entry point; with
+        ``on_error="return"`` a stream that fails lands as a
+        :class:`TaskFailure` in its slot (the salvage paths).  An
+        shm-resident decode is copied into a fresh array before its lease
+        is released.
+        """
+        ledger = _ShmLedger()
+
         def consume(index: int, res):
             if isinstance(res, _ShmRef):
-                view = ledger.out(index).asarray(ledger.shape(index), np.float32)
-                return np.array(view, copy=True, subok=False)
+                block, shape = ledger.out(index)
+                return np.array(
+                    block.asarray(shape, np.float32), copy=True, subok=False
+                )
             return res
-        return consume
+
+        return self._drain_shm(
+            self._run_ordered(
+                lambda b, s: decompress_any(b, codec=self._codec, scratch=s),
+                _proc_decompress,
+                blobs,
+                self._decompress_items(blobs, ledger),
+                on_error=on_error,
+            ),
+            ledger,
+            consume,
+        )
 
     # -- task plumbing -----------------------------------------------------
 
@@ -924,11 +983,9 @@ class Engine:
                         if self._note_failure(task, exc, kind):
                             self._backoff_sleep(task.attempts, kind, index)
                             continue
-                        yield self._emit_failure(task, on_error)
-                        break
-                    else:
-                        yield out
-                        break
+                        out = self._emit_failure(task, on_error)
+                    yield out
+                    break
         finally:
             self.buffer_pool.release(scratch)
 
@@ -938,14 +995,12 @@ class Engine:
         proc_fn: Callable,
         thread_items: Iterable,
         proc_items: Iterable,
-        window: int | None = None,
         on_error: str = "raise",
     ) -> Iterator:
         """Run tasks through the pool, yielding results in submission order.
 
-        At most ``window`` futures are in flight (default ``4 * jobs``), so
-        streaming callers keep bounded memory even when one slow chunk
-        heads the queue.  Each task runs under the retry loop described in
+        At most ``4 * jobs`` futures are in flight, so streaming callers
+        keep bounded memory even when one slow chunk heads the queue.  Each task runs under the retry loop described in
         the class docstring; quarantined tasks surface per ``on_error``
         (``"raise"`` — the default — or ``"return"``, which yields the
         :class:`TaskFailure` in the task's result slot so surviving
@@ -958,7 +1013,7 @@ class Engine:
             yield from self._run_inline(thread_fn, thread_items, on_error)
             return
         plan_text = faults.serialized()
-        window = window if window is not None else 4 * self.jobs
+        window = 4 * self.jobs
         if self.pool_kind == "process":
             items: Iterable = proc_items
             recorder = telemetry.get_recorder()
@@ -1005,15 +1060,9 @@ class Engine:
 
         pending: deque[_Task] = deque()
         source = enumerate(items)
-        exhausted = False
 
         def refill() -> None:
-            nonlocal exhausted
-            while not exhausted and len(pending) < window:
-                nxt = next(source, None)
-                if nxt is None:
-                    exhausted = True
-                    return
+            for nxt in islice(source, window - len(pending)):
                 task = _Task(*nxt)
                 safe_submit(task)
                 pending.append(task)
@@ -1112,42 +1161,10 @@ class Engine:
         """
         fields = list(fields)
         plan = self.plan if plan is None else normalize_plan(plan)
-        telem = telemetry.enabled()
         with telemetry.span("engine.compress_batch") as sp:
             sp.set("n_fields", len(fields))
             sp.set("plan", plan)
-            thread_fn = lambda f, s: _compress_task(  # noqa: E731
-                self._codec, f, eb, mode, plan, s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results = list(
-                    self._drain_shm(
-                        self._run_ordered(
-                            thread_fn,
-                            _proc_compress_shm,
-                            fields,
-                            self._shm_compress_items(
-                                fields, eb, mode, telem, plan, ledger
-                            ),
-                            on_error=on_error,
-                        ),
-                        ledger,
-                        self._rehydrate(ledger),
-                    )
-                )
-            else:
-                results = list(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_compress,
-                        fields,
-                        [(f, eb, mode, self._chunk, self._backend_sel,
-                          telem, plan) for f in fields],
-                        on_error=on_error,
-                    )
-                )
-        return results
+            return list(self._compress_map(fields, eb, mode, plan, on_error))
 
     def decompress_batch(
         self, streams: Sequence[bytes], on_error: str = "raise"
@@ -1159,39 +1176,9 @@ class Engine:
         ``on_error`` behaves as in :meth:`compress_batch`.
         """
         streams = list(streams)
-        telem = telemetry.enabled()
         with telemetry.span("engine.decompress_batch") as sp:
             sp.set("n_streams", len(streams))
-            thread_fn = lambda b, s: decompress_any(  # noqa: E731
-                b, codec=self._codec, scratch=s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results = list(
-                    self._drain_shm(
-                        self._run_ordered(
-                            thread_fn,
-                            _proc_decompress_shm,
-                            streams,
-                            self._shm_decompress_items(streams, telem, ledger),
-                            on_error=on_error,
-                        ),
-                        ledger,
-                        self._materialize(ledger),
-                    )
-                )
-            else:
-                results = list(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress,
-                        streams,
-                        [(b, self._chunk, self._backend_sel, telem)
-                         for b in streams],
-                        on_error=on_error,
-                    )
-                )
-        return results
+            return list(self._decompress_map(streams, on_error))
 
     def decompress_stream(
         self, streams: Iterable[bytes], on_error: str = "raise"
@@ -1205,39 +1192,9 @@ class Engine:
         fast path: :mod:`repro.serve` feeds container segments in and flushes
         each decoded chunk to the client before the next finishes.
         """
-        telem = telemetry.enabled()
-        thread_fn = lambda b, s: decompress_any(  # noqa: E731
-            b, codec=self._codec, scratch=s
-        )
-
-        def tasks():
-            for blob in streams:
-                yield (blob, self._chunk, self._backend_sel, telem)
-
         with telemetry.span("engine.decompress_stream") as sp:
             n = 0
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results: Iterator = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        streams,
-                        self._shm_decompress_items(streams, telem, ledger),
-                        on_error=on_error,
-                    ),
-                    ledger,
-                    self._materialize(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_decompress,
-                    streams,
-                    tasks(),
-                    on_error=on_error,
-                )
-            for result in results:
+            for result in self._decompress_map(streams, on_error):
                 n += 1
                 yield result
             sp.set("n_streams", n)
@@ -1280,7 +1237,6 @@ class Engine:
         eb = ensure_positive(eb, "eb")
         plan = self.plan if plan is None else normalize_plan(plan)
         spans = plan_chunks(data.shape, self._axis0_align(data.ndim), chunk_bytes)
-        telem = telemetry.enabled()
         with telemetry.span("engine.compress_file") as root:
             root.set("n_chunks", len(spans))
             root.set("plan", plan)
@@ -1299,40 +1255,11 @@ class Engine:
             writer = fzmc.ContainerWriter(fileobj, data.shape, eb_abs)
             compressed = 0
             chunk_plans: list[str] = []
-            thread_fn = lambda span, s: _compress_task(  # noqa: E731
-                self._codec,
-                np.ascontiguousarray(data[span[0] : span[1]]), eb_abs, "abs",
-                plan, s,
+            # chunk views stay lazy: threads copy their own rows, and the
+            # shm transport ships memmap/ShmArray spans as pure addresses
+            results = self._compress_map(
+                (data[a:b] for a, b in spans), eb_abs, "abs", plan
             )
-            if self._use_shm():
-                # chunk spans of a memmap/ShmArray field ship as pure
-                # addresses; plain in-memory fields are staged chunk by
-                # chunk (the copy the pickle path paid anyway)
-                ledger = _ShmLedger()
-                results: Iterable = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_compress_shm,
-                        spans,
-                        self._shm_compress_items(
-                            (data[a:b] for a, b in spans), eb_abs, "abs",
-                            telem, plan, ledger,
-                        ),
-                    ),
-                    ledger,
-                    self._rehydrate(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_compress,
-                    spans,
-                    (
-                        (np.ascontiguousarray(data[a:b]), eb_abs, "abs",
-                         self._chunk, self._backend_sel, telem, plan)
-                        for a, b in spans
-                    ),
-                )
             for (a, b), result in zip(spans, results):
                 writer.add_segment(result.stream, b - a, plan=plan_id(result.plan))
                 chunk_plans.append(result.plan)
@@ -1370,7 +1297,10 @@ class Engine:
 
         Concatenated containers must agree on their trailing dimensions and
         are stitched along axis 0 — the natural "append more chunks by
-        appending a container" streaming idiom.
+        appending a container" streaming idiom.  The decode is the
+        whole-field ROI plan (:func:`~repro.roi.plan_roi`), so an index the
+        planner rejects (disagreeing trailing dims, a split along another
+        axis) raises :class:`FormatError` before any payload is read.
 
         With ``salvage=True`` a damaged container is decoded best-effort
         instead of raising: every CRC-valid segment is recovered
@@ -1383,63 +1313,10 @@ class Engine:
             return self._decompress_salvage(fileobj)
         with telemetry.span("engine.decompress_file") as root:
             with telemetry.span("engine.read_index"):
-                indexes = fzmc.read_containers(fileobj)
-            tail = indexes[0].shape[1:]
-            for idx in indexes[1:]:
-                if idx.shape[1:] != tail:
-                    raise FormatError(
-                        f"concatenated containers disagree on trailing dims: "
-                        f"{idx.shape[1:]} vs {tail}"
-                    )
-            total_rows = sum(idx.shape[0] for idx in indexes)
-            out = np.empty((total_rows,) + tail, dtype=np.float32)
-            # Collect (payload, expected_shape) per segment, decode through
-            # the worker pool, scatter into the output rows in order.
-            payloads: list[bytes] = []
-            extents: list[tuple[int, ...]] = []
-            start = 0
-            for idx in indexes:
-                for ordinal, entry in enumerate(idx.segments):
-                    payloads.append(
-                        fzmc.read_segment_payload(fileobj, start, entry, ordinal)
-                    )
-                    extents.append((entry.extent,) + tail)
-                start += idx.container_bytes
-            root.set("n_chunks", len(payloads))
-            telem = telemetry.enabled()
-            row = 0
-            thread_fn = lambda b, s: decompress_any(  # noqa: E731
-                b, codec=self._codec, scratch=s
-            )
-            if self._use_shm():
-                ledger = _ShmLedger()
-                results: Iterable = self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        payloads,
-                        self._shm_decompress_items(payloads, telem, ledger),
-                    ),
-                    ledger,
-                    self._materialize(ledger),
-                )
-            else:
-                results = self._run_ordered(
-                    thread_fn,
-                    _proc_decompress,
-                    payloads,
-                    [(b, self._chunk, self._backend_sel, telem)
-                     for b in payloads],
-                )
-            for expected, chunk_arr in zip(extents, results):
-                check_consistent(
-                    tuple(chunk_arr.shape) == tuple(expected),
-                    f"chunk decoded to shape {tuple(chunk_arr.shape)}, container "
-                    f"index declares {tuple(expected)}",
-                )
-                out[row : row + expected[0]] = chunk_arr
-                row += expected[0]
-            root.set("bytes_in", sum(len(p) for p in payloads))
+                plan = plan_roi(fzmc.read_containers(fileobj), ())
+            root.set("n_chunks", plan.n_segments)
+            out, counts = self._decode_plan(fileobj, plan)
+            root.set("bytes_in", counts.bytes_in)
             root.set("bytes_out", int(out.nbytes))
         return out
 
@@ -1447,7 +1324,7 @@ class Engine:
         """In-memory variant of :meth:`decompress_chunked_from`."""
         return self.decompress_chunked_from(BytesIO(blob), salvage=salvage)
 
-    # -- region-of-interest / progressive decode ---------------------------
+    # -- container plans: full, region-of-interest and progressive decode --
 
     def _roi_read_plan(self, fileobj: BinaryIO, slab) -> RoiPlan:
         """Read the container indexes and intersect ``slab`` with them."""
@@ -1475,10 +1352,10 @@ class Engine:
     def _roi_fill(task, payload: bytes) -> np.float32:
         """Fill value of a constant segment, cross-checked against the index.
 
-        ``FZCN`` segments are the ROI fast path: their 52-byte stream is
+        ``FZCN`` segments never reach the pool: their 52-byte stream is
         fully CRC-validated by :func:`~repro.planner.constant_info` and the
-        sub-slab is synthesized directly — no pool round-trip, no full
-        chunk materialization.
+        rows are synthesized directly — no pool round-trip, no full chunk
+        materialization.
         """
         info = constant_info(payload)
         check_consistent(
@@ -1487,6 +1364,36 @@ class Engine:
             f"container index declares {task.chunk_shape}",
         )
         return np.float32(info["fill"])
+
+    def _decode_plan(
+        self, fileobj: BinaryIO, plan: RoiPlan
+    ) -> tuple[np.ndarray, _PlanCounts]:
+        """Strict decode of every task in ``plan``; any failure raises.
+
+        Every intersecting segment is read and CRC-checked first.  Constant
+        rows are filled in the parent and the rest decode through
+        :meth:`_decompress_map`, each chunk's slab scattered as it arrives.
+        """
+        out = np.empty(plan.out_shape, dtype=np.float32)
+        payloads = self._roi_payloads(fileobj, plan)
+        pending: list[RoiTask] = []
+        streams: list[bytes] = []
+        for task, payload in zip(plan.tasks, payloads):
+            if payload[:4] == CONSTANT_MAGIC:
+                fill = self._roi_fill(task, payload)
+                out[task.out_row0 : task.out_row0 + task.rows] = fill
+            else:
+                pending.append(task)
+                streams.append(payload)
+        for task, arr in zip(pending, self._decompress_map(streams)):
+            check_consistent(
+                tuple(arr.shape) == task.chunk_shape,
+                f"chunk decoded to shape {tuple(arr.shape)}, container "
+                f"index declares {task.chunk_shape}",
+            )
+            out[task.out_row0 : task.out_row0 + task.rows] = arr[task.local]
+        filled = len(plan.tasks) - len(pending)
+        return out, _PlanCounts(len(pending), filled, sum(map(len, payloads)))
 
     def decompress_roi_from(self, fileobj: BinaryIO, slab, salvage: bool = False):
         """Decode only the hyperslab ``slab`` of a multi-chunk container.
@@ -1513,120 +1420,21 @@ class Engine:
             root.set("n_segments", plan.n_segments)
             root.set("n_intersecting", len(plan.tasks))
             if salvage:
-                out, report = self._roi_salvage(fileobj, plan)
+                out, report, counts = self._salvage_plan(
+                    plan, self._read_slots(fileobj, plan)
+                )
             else:
-                out = self._roi_strict(fileobj, plan)
+                out, counts = self._decode_plan(fileobj, plan)
             root.set("bytes_out", int(out.nbytes))
+            if telemetry.enabled():
+                telemetry.counter("roi.chunks_decoded", counts.decoded)
+                telemetry.counter("roi.chunks_filled", counts.filled)
+                telemetry.counter("roi.bytes_out", int(out.nbytes))
         return (out, report) if salvage else out
 
     def decompress_roi(self, blob: bytes, slab, salvage: bool = False):
         """In-memory variant of :meth:`decompress_roi_from`."""
         return self.decompress_roi_from(BytesIO(blob), slab, salvage=salvage)
-
-    def _roi_strict(self, fileobj: BinaryIO, plan: RoiPlan) -> np.ndarray:
-        out = np.empty(plan.out_shape, dtype=np.float32)
-        payloads = self._roi_payloads(fileobj, plan)
-        decode_tasks = []
-        decode_payloads: list[bytes] = []
-        filled = 0
-        for task, payload in zip(plan.tasks, payloads):
-            if payload[:4] == CONSTANT_MAGIC:
-                fill = self._roi_fill(task, payload)
-                out[task.out_row0 : task.out_row0 + task.rows] = fill
-                filled += 1
-            else:
-                decode_tasks.append(task)
-                decode_payloads.append(payload)
-        results = self._decode_tolerant(decode_payloads, on_error="raise")
-        for task, arr in zip(decode_tasks, results):
-            check_consistent(
-                tuple(arr.shape) == task.chunk_shape,
-                f"chunk decoded to shape {tuple(arr.shape)}, container "
-                f"index declares {task.chunk_shape}",
-            )
-            out[task.out_row0 : task.out_row0 + task.rows] = arr[task.local]
-        if telemetry.enabled():
-            telemetry.counter("roi.chunks_decoded", len(decode_tasks))
-            telemetry.counter("roi.chunks_filled", filled)
-            telemetry.counter("roi.bytes_out", int(out.nbytes))
-        return out
-
-    def _roi_salvage(
-        self, fileobj: BinaryIO, plan: RoiPlan
-    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
-        """Best-effort ROI decode: NaN-fill damage inside the slab only."""
-        out = np.full(plan.out_shape, np.nan, dtype=np.float32)
-        slots: list[tuple[object, bytes | None, str]] = []
-        for task in plan.tasks:
-            try:
-                payload = fzmc.read_segment_payload(
-                    fileobj, task.container_start, task.entry, task.seg_ordinal
-                )
-            except FormatError as exc:
-                slots.append((task, None, f"segment read failed: {exc}"))
-            else:
-                slots.append((task, payload, ""))
-        decoded = iter(
-            self._decode_tolerant(
-                [p for _, p, _ in slots
-                 if p is not None and p[:4] != CONSTANT_MAGIC]
-            )
-        )
-        outcomes: list[fzmc.SegmentOutcome] = []
-        recovered = filled = n_decoded = 0
-        for task, payload, detail in slots:
-            ok = False
-            if payload is not None:
-                if payload[:4] == CONSTANT_MAGIC:
-                    try:
-                        fill = self._roi_fill(task, payload)
-                    except ReproError as exc:
-                        detail = f"constant segment invalid: {exc}"
-                    else:
-                        out[task.out_row0 : task.out_row0 + task.rows] = fill
-                        ok = True
-                        filled += 1
-                else:
-                    res = next(decoded)
-                    if isinstance(res, TaskFailure):
-                        detail = f"payload decode failed: {res.error_type}"
-                    elif tuple(res.shape) != task.chunk_shape:
-                        detail = (
-                            f"decoded shape {tuple(res.shape)} does not "
-                            f"match declared {task.chunk_shape}"
-                        )
-                    else:
-                        out[task.out_row0 : task.out_row0 + task.rows] = (
-                            res[task.local]
-                        )
-                        ok = True
-                        n_decoded += 1
-            nbytes = task.tile_bytes
-            if ok:
-                recovered += nbytes
-                outcomes.append(
-                    fzmc.SegmentOutcome(task.ordinal, task.rows, nbytes, "recovered")
-                )
-            else:
-                outcomes.append(
-                    fzmc.SegmentOutcome(
-                        task.ordinal, task.rows, nbytes, "lost", detail
-                    )
-                )
-        total = int(out.nbytes)
-        report = fzmc.SalvageReport(
-            shape=plan.out_shape,
-            resynced=False,
-            total_bytes=total,
-            recovered_bytes=recovered,
-            lost_bytes=total - recovered,
-            segments=tuple(outcomes),
-        )
-        if telemetry.enabled():
-            telemetry.counter("roi.chunks_decoded", n_decoded)
-            telemetry.counter("roi.chunks_filled", filled)
-            telemetry.counter("roi.bytes_out", total)
-        return out, report
 
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
@@ -1716,56 +1524,86 @@ class Engine:
         """
         with open(input_path, "rb") as f:
             result = self.decompress_roi_from(f, slab, salvage=salvage)
-        out = result[0] if salvage else result
-        if output_path is not None:
-            from repro.io import save_field
-
-            save_field(output_path, out)
+        _save_field(output_path, result[0] if salvage else result)
         return result
 
     # -- salvage decode ----------------------------------------------------
 
-    def _decode_tolerant(
-        self, payloads: Sequence[bytes], on_error: str = "return"
-    ) -> list:
-        """Decode core streams through the pool, one result slot per input.
-
-        With the default ``on_error="return"`` a payload that fails to
-        decode lands as a :class:`TaskFailure` in its slot instead of
-        aborting the surviving segments (the salvage path);
-        ``on_error="raise"`` surfaces the first failure with the usual
-        taxonomy (the strict ROI path).
-        """
-        payloads = list(payloads)
-        telem = telemetry.enabled()
-        thread_fn = lambda b, s: decompress_any(  # noqa: E731
-            b, codec=self._codec, scratch=s
-        )
-        if self._use_shm():
-            ledger = _ShmLedger()
-            return list(
-                self._drain_shm(
-                    self._run_ordered(
-                        thread_fn,
-                        _proc_decompress_shm,
-                        payloads,
-                        self._shm_decompress_items(payloads, telem, ledger),
-                        on_error=on_error,
-                    ),
-                    ledger,
-                    self._materialize(ledger),
+    @staticmethod
+    def _read_slots(
+        fileobj: BinaryIO, plan: RoiPlan
+    ) -> list[tuple[RoiTask, bytes | None, str]]:
+        """Salvage slots read through the index: a bad segment loses itself."""
+        slots: list[tuple[RoiTask, bytes | None, str]] = []
+        for task in plan.tasks:
+            try:
+                payload = fzmc.read_segment_payload(
+                    fileobj, task.container_start, task.entry, task.seg_ordinal
                 )
-            )
-        return list(
-            self._run_ordered(
-                thread_fn,
-                _proc_decompress,
-                payloads,
-                [(b, self._chunk, self._backend_sel, telem)
-                 for b in payloads],
-                on_error=on_error,
-            )
+            except FormatError as exc:
+                slots.append((task, None, f"segment read failed: {exc}"))
+            else:
+                slots.append((task, payload, ""))
+        return slots
+
+    def _salvage_plan(
+        self, plan: RoiPlan, slots: Sequence[tuple[RoiTask, bytes | None, str]]
+    ) -> tuple[np.ndarray, fzmc.SalvageReport, _PlanCounts]:
+        """Best-effort decode of ``plan``: NaN-fill whatever is lost.
+
+        ``slots`` holds one ``(task, payload | None, detail)`` per plan
+        task; a missing payload is lost with ``detail``.  Payloads that
+        fail to decode, or decode to a shape the index does not declare,
+        are lost too, and the report accounts for every byte of the plan's
+        output.
+        """
+        out = np.full(plan.out_shape, np.nan, dtype=np.float32)
+        decoded = self._decompress_map(
+            [p for _, p, _ in slots if p is not None and p[:4] != CONSTANT_MAGIC],
+            on_error="return",
         )
+        outcomes: list[fzmc.SegmentOutcome] = []
+        recovered = filled = n_decoded = bytes_in = 0
+        for task, payload, detail in slots:
+            tile = None
+            if payload is not None:
+                bytes_in += len(payload)
+                if payload[:4] == CONSTANT_MAGIC:
+                    try:
+                        tile = self._roi_fill(task, payload)
+                        filled += 1
+                    except ReproError as exc:
+                        detail = f"constant segment invalid: {exc}"
+                else:
+                    res = next(decoded)
+                    if isinstance(res, TaskFailure):
+                        detail = f"payload decode failed: {res.error_type}"
+                    elif tuple(res.shape) != task.chunk_shape:
+                        detail = (
+                            f"decoded shape {tuple(res.shape)} does not "
+                            f"match declared {task.chunk_shape}"
+                        )
+                    else:
+                        tile = res[task.local]
+                        n_decoded += 1
+            ok = tile is not None
+            if ok:
+                out[task.out_row0 : task.out_row0 + task.rows] = tile
+                recovered += task.tile_bytes
+            outcomes.append(fzmc.SegmentOutcome(
+                task.ordinal, task.rows, task.tile_bytes,
+                "recovered" if ok else "lost", "" if ok else detail,
+            ))
+        total = int(out.nbytes)
+        report = fzmc.SalvageReport(
+            shape=plan.out_shape,
+            resynced=False,
+            total_bytes=total,
+            recovered_bytes=recovered,
+            lost_bytes=total - recovered,
+            segments=tuple(outcomes),
+        )
+        return out, report, _PlanCounts(n_decoded, filled, bytes_in)
 
     def _decompress_salvage(
         self, fileobj: BinaryIO
@@ -1775,10 +1613,12 @@ class Engine:
         Two strategies, picked by whether the end-anchored index trailer
         still parses:
 
-        * **indexed** — the index survived (payload-only damage): every
-          declared segment slot is checked against the CRC-valid segments
-          actually present at its offset; damaged slots are NaN-filled in
-          an output of the full declared shape.
+        * **indexed** — the index survived (payload-only damage): the
+          whole-field plan's slots take the CRC-valid segments found at
+          their declared offsets, and damaged slots are NaN-filled in an
+          output of the full declared shape — the same routine as ROI
+          salvage.  An index that parses but cannot be planned raises the
+          planner's :class:`FormatError`.
         * **re-sync** — the index itself is unreadable (truncation, trailer
           damage): a forward scan for CRC-valid ``FZSG`` segment frames
           (:func:`~repro.engine.container.resync_segments`) recovers what
@@ -1786,19 +1626,25 @@ class Engine:
         """
         fileobj.seek(0)
         blob = fileobj.read()
-        index_error = ""
         with telemetry.span("engine.salvage") as root:
             try:
                 indexes = fzmc.read_containers(BytesIO(blob))
             except FormatError as exc:
                 indexes = None
-                index_error = str(exc)
-            hits = fzmc.resync_segments(blob)
-            if indexes is not None:
-                out, report = self._salvage_indexed(indexes, hits)
+                root.set("index_error", str(exc))
+            if indexes is None:
+                out, report = self._salvage_resync(fzmc.resync_segments(blob))
             else:
-                root.set("index_error", index_error)
-                out, report = self._salvage_resync(hits)
+                plan = plan_roi(indexes, ())
+                found = {h.offset: h.payload for h in fzmc.resync_segments(blob)}
+                out, report, _ = self._salvage_plan(plan, [
+                    (
+                        task,
+                        found.get(task.container_start + task.entry.offset),
+                        "segment corrupt or missing",
+                    )
+                    for task in plan.tasks
+                ])
             root.set("resynced", report.resynced)
             root.set("recovered_bytes", report.recovered_bytes)
             root.set("lost_bytes", report.lost_bytes)
@@ -1813,72 +1659,6 @@ class Engine:
                 )
         return out, report
 
-    def _salvage_indexed(
-        self, indexes: list[fzmc.ContainerIndex], hits: list[fzmc.SegmentHit]
-    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
-        """Salvage with a surviving index: NaN-fill exactly the damaged rows."""
-        tail = indexes[0].shape[1:]
-        for idx in indexes[1:]:
-            if idx.shape[1:] != tail:
-                raise FormatError(
-                    f"concatenated containers disagree on trailing dims: "
-                    f"{idx.shape[1:]} vs {tail}"
-                )
-        row_bytes = 4 * math.prod(tail)
-        by_offset = {h.offset: h for h in hits}
-        # one slot per declared segment: (extent, payload-or-None)
-        slots: list[tuple[int, bytes | None]] = []
-        start = 0
-        for idx in indexes:
-            for entry in idx.segments:
-                hit = by_offset.get(start + entry.offset)
-                slots.append((entry.extent, hit.payload if hit else None))
-            start += idx.container_bytes
-        decoded = iter(
-            self._decode_tolerant([p for _, p in slots if p is not None])
-        )
-        total_rows = sum(idx.shape[0] for idx in indexes)
-        out = np.full((total_rows,) + tail, np.nan, dtype=np.float32)
-        outcomes: list[fzmc.SegmentOutcome] = []
-        recovered = 0
-        row = 0
-        for ordinal, (extent, payload) in enumerate(slots):
-            nbytes = extent * row_bytes
-            detail = "segment corrupt or missing"
-            ok = False
-            if payload is not None:
-                res = next(decoded)
-                if isinstance(res, TaskFailure):
-                    detail = f"payload decode failed: {res.error_type}"
-                elif tuple(res.shape) != (extent,) + tail:
-                    detail = (
-                        f"decoded shape {tuple(res.shape)} does not match "
-                        f"declared {(extent,) + tail}"
-                    )
-                else:
-                    out[row : row + extent] = res
-                    ok = True
-            if ok:
-                recovered += nbytes
-                outcomes.append(
-                    fzmc.SegmentOutcome(ordinal, extent, nbytes, "recovered")
-                )
-            else:
-                outcomes.append(
-                    fzmc.SegmentOutcome(ordinal, extent, nbytes, "lost", detail)
-                )
-            row += extent
-        total = total_rows * row_bytes
-        report = fzmc.SalvageReport(
-            shape=(total_rows,) + tail,
-            resynced=False,
-            total_bytes=total,
-            recovered_bytes=recovered,
-            lost_bytes=total - recovered,
-            segments=tuple(outcomes),
-        )
-        return out, report
-
     def _salvage_resync(
         self, hits: list[fzmc.SegmentHit]
     ) -> tuple[np.ndarray, fzmc.SalvageReport]:
@@ -1890,7 +1670,9 @@ class Engine:
         unknowable without the index.
         """
         hits = sorted(hits, key=lambda h: h.offset)
-        results = self._decode_tolerant([h.payload for h in hits])
+        results = self._decompress_map(
+            [h.payload for h in hits], on_error="return"
+        )
         outcomes: list[fzmc.SegmentOutcome] = []
         parts: list[np.ndarray] = []
         tail: tuple[int, ...] | None = None
@@ -1910,22 +1692,17 @@ class Engine:
             seg_tail = tuple(arr.shape[1:])
             if tail is None:
                 tail = seg_tail
-            if seg_tail != tail:
+            ok = seg_tail == tail
+            if ok:
+                recovered += nbytes
+                parts.append(arr)
+            else:
                 lost += nbytes
-                outcomes.append(
-                    fzmc.SegmentOutcome(
-                        hit.ordinal, int(arr.shape[0]), nbytes, "lost",
-                        f"trailing dims {seg_tail} disagree with {tail}",
-                    )
-                )
-                continue
-            recovered += nbytes
-            parts.append(arr)
-            outcomes.append(
-                fzmc.SegmentOutcome(
-                    hit.ordinal, int(arr.shape[0]), nbytes, "recovered"
-                )
-            )
+            outcomes.append(fzmc.SegmentOutcome(
+                hit.ordinal, int(arr.shape[0]), nbytes,
+                "recovered" if ok else "lost",
+                "" if ok else f"trailing dims {seg_tail} disagree with {tail}",
+            ))
         out = (
             np.concatenate(parts, axis=0)
             if parts
@@ -1962,10 +1739,9 @@ class Engine:
         """
         data = _open_field_mmap(input_path, shape)
         with open(output_path, "wb") as f:
-            report = self.compress_chunked_to(
+            return self.compress_chunked_to(
                 f, data, eb, mode, chunk_bytes, name=str(output_path), plan=plan
             )
-        return report
 
     def decompress_file(
         self,
@@ -1979,15 +1755,16 @@ class Engine:
         raises on payload damage — see :meth:`decompress_chunked_from`.
         """
         with open(input_path, "rb") as f:
-            if salvage:
-                out, report = self.decompress_chunked_from(f, salvage=True)
-            else:
-                out = self.decompress_chunked_from(f)
-        if output_path is not None:
-            from repro.io import save_field
+            result = self.decompress_chunked_from(f, salvage=salvage)
+        _save_field(output_path, result[0] if salvage else result)
+        return result
 
-            save_field(output_path, out)
-        return (out, report) if salvage else out
+
+def _save_field(path: str | pathlib.Path | None, out: np.ndarray) -> None:
+    if path is not None:
+        from repro.io import save_field
+
+        save_field(path, out)
 
 
 def _open_field_mmap(

@@ -66,7 +66,6 @@ def compress_with_plan(
     backend=None,
     scratch=None,
     policy: PlanPolicy | None = None,
-    impl: str | None = None,
 ) -> CompressionResult:
     """Compress one chunk under a request plan.
 
@@ -75,8 +74,7 @@ def compress_with_plan(
     :class:`~repro.core.pipeline.CompressionResult` carries the segment
     plan actually chosen in ``.plan``.  ``codec`` (or ``chunk``/``backend``)
     and ``scratch`` configure the fused path exactly as
-    :meth:`repro.core.pipeline.FZGPU.compress` does; ``impl`` selects the
-    interpolation implementation for conformance testing.
+    :meth:`repro.core.pipeline.FZGPU.compress` does.
     """
     plan = normalize_plan(plan)
     codec = _resolve_codec(codec, chunk, backend)
@@ -92,7 +90,7 @@ def compress_with_plan(
         if chosen == PLAN_CONST:
             result = constant_compress(data, eb_abs)
         elif chosen == PLAN_INTERP:
-            result = interp_compress(data, eb_abs, impl=impl, scratch=scratch)
+            result = interp_compress(data, eb_abs, scratch=scratch)
         else:
             result = codec.compress(data, eb_abs, "abs", scratch=scratch)
         root.set("plan", result.plan)
@@ -112,7 +110,6 @@ def decompress_any(
     chunk: tuple[int, ...] | None = None,
     backend=None,
     scratch=None,
-    impl: str | None = None,
 ) -> np.ndarray:
     """Reconstruct a field from any plan's stream by sniffing its magic."""
     buf = bytes(stream)
@@ -121,7 +118,7 @@ def decompress_any(
         return _resolve_codec(codec, chunk, backend).decompress(buf, scratch=scratch)
     if magic == INTERP_MAGIC:
         with telemetry.span("planner.decompress") as root:
-            out = interp_decompress(buf, impl=impl, scratch=scratch)
+            out = interp_decompress(buf, scratch=scratch)
             root.set("plan", plan_name(PLAN_INTERP))
             root.set("bytes_in", len(buf))
             root.set("bytes_out", int(out.nbytes))

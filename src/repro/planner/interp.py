@@ -28,21 +28,17 @@ Algorithm
   through the exact bitshuffle and zero-block stages of the fused pipeline
   into a CRC-trailed ``FZIN`` stream.
 
-Two implementations are provided and are **byte-identical** by
-construction: the staged reference walks targets one hyperplane at a time;
-the vectorized fast path computes every target of a pass at once.  Both
-share the same prediction/quantization helpers, so each target sees the
-same float64 expression tree regardless of implementation — conformance is
-pinned by ``tests/test_planner.py``.
+Each (level, axis) pass computes every target at once.  Prediction and
+quantization go through shared helpers, so each target sees one fixed
+float64 expression tree; ``tests/test_planner.py`` pins the pass
+byte-identical to a one-hyperplane-at-a-time loop oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
-from typing import Callable
 
 import numpy as np
 
@@ -95,8 +91,8 @@ def default_anchor_log2(shape: tuple[int, ...]) -> int:
 
 
 # -- shared prediction / residual arithmetic --------------------------------
-# Both implementations call exactly these helpers, so every target sees the
-# same float64 expression tree — the root of the byte-identity guarantee.
+# The pass and the test-side loop oracle call exactly these helpers, so
+# every target sees the same float64 expression tree.
 
 
 def _cubic(a, b, c, d):
@@ -153,48 +149,15 @@ def _region(ndim: int, axis: int, s: int) -> tuple:
     )
 
 
-# -- the two pass implementations -------------------------------------------
-
-
-def _pass_reference(rec, src, codes, axis, s, eb2, encode):
-    """Staged reference: one hyperplane of targets at a time."""
-    d = rec.shape[axis]
-    nd = rec.ndim
-    n_sat = 0
-    max_abs = 0
-    for i in range(s, d, 2 * s):
-        left = rec[_axis_sel(nd, axis, i - s)]
-        if i + s >= d:
-            pred = left
-        elif i - 3 * s >= 0 and i + 3 * s < d:
-            pred = _cubic(
-                rec[_axis_sel(nd, axis, i - 3 * s)],
-                left,
-                rec[_axis_sel(nd, axis, i + s)],
-                rec[_axis_sel(nd, axis, i + 3 * s)],
-            )
-        else:
-            pred = _linear(left, rec[_axis_sel(nd, axis, i + s)])
-        sel = _axis_sel(nd, axis, i)
-        if encode:
-            c, delta, ns, ma = _quantize_residual(src[sel], pred, eb2)
-            codes[sel] = c
-            rec[sel] = pred + delta * eb2
-            n_sat += ns
-            max_abs = max(max_abs, ma)
-        else:
-            rec[sel] = pred + _residual_from_codes(codes[sel]) * eb2
-    return n_sat, max_abs
-
-
 def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
-    """Fast path: every target of the pass in one shot.
+    """One (level, axis) pass: every target in one shot.
 
     Neighbors are never targets of the same pass (targets sit at odd
     multiples of ``s``, neighbors at even ones), so reading them all before
-    writing any target is exactly equivalent to the reference's in-order
-    walk.  The per-target prediction rule (nearest / linear / cubic) is
-    applied through the same shared helpers, in the same precedence.
+    writing any target is exactly equivalent to an in-order walk of the
+    targets.  The per-target prediction rule (nearest / linear / cubic) is
+    applied through the shared helpers, in nearest < linear < cubic
+    precedence.
     """
     d = rec.shape[axis]
     nd = rec.ndim
@@ -229,24 +192,7 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
     return 0, 0
 
 
-_IMPLS: dict[str, Callable] = {
-    "reference": _pass_reference,
-    "vectorized": _pass_vectorized,
-}
-
-
-def _resolve_impl(impl: str | None) -> Callable:
-    if impl in (None, "auto"):
-        impl = os.environ.get("REPRO_INTERP_IMPL", "vectorized") or "vectorized"
-    fn = _IMPLS.get(impl)
-    if fn is None:
-        raise ConfigError(
-            f"interp impl must be 'reference', 'vectorized' or 'auto', got {impl!r}"
-        )
-    return fn
-
-
-def _run_levels(rec, src, codes, anchor_log2, eb2, encode, impl_pass):
+def _run_levels(rec, src, codes, anchor_log2, eb2, encode):
     """Drive every (level, axis) pass; returns (n_saturated, max_abs)."""
     ndim = rec.ndim
     n_sat = 0
@@ -255,7 +201,7 @@ def _run_levels(rec, src, codes, anchor_log2, eb2, encode, impl_pass):
     while s >= 1:
         for axis in range(ndim):
             region = _region(ndim, axis, s)
-            ns, ma = impl_pass(
+            ns, ma = _pass_vectorized(
                 rec[region],
                 None if src is None else src[region],
                 codes[region],
@@ -288,21 +234,16 @@ def interp_compress(
     eb_abs: float,
     *,
     anchor_log2: int | None = None,
-    impl: str | None = None,
     scratch=None,
 ) -> CompressionResult:
     """Compress ``data`` with the interpolation predictor (absolute bound).
 
-    ``impl`` selects the pass implementation (``"reference"`` /
-    ``"vectorized"``; default the ``REPRO_INTERP_IMPL`` environment
-    variable, then vectorized) — output bytes are identical for both.
     The residual codes go through the fused backend's bitshuffle +
     zero-block tile kernels; ``scratch`` is an optional arena for their
     temporaries (the engine passes its worker's).
     """
     data = ensure_ndim(ensure_float32(data))
     eb_abs = ensure_positive(eb_abs, "eb_abs")
-    impl_pass = _resolve_impl(impl)
     if anchor_log2 is None:
         anchor_log2 = default_anchor_log2(data.shape)
     if not 1 <= anchor_log2 <= _MAX_ANCHOR_LOG2:
@@ -316,9 +257,7 @@ def interp_compress(
         asel = tuple(slice(None, None, s0) for _ in range(data.ndim))
         anchors = np.rint(src[asel] / eb2).astype(np.int64)
         rec[asel] = anchors.astype(np.float64) * eb2
-        n_sat, max_abs = _run_levels(
-            rec, src, codes, anchor_log2, eb2, True, impl_pass
-        )
+        n_sat, max_abs = _run_levels(rec, src, codes, anchor_log2, eb2, True)
     if scratch is None:
         scratch = Scratch()
     with telemetry.span("stage.fused_encode"):
@@ -512,7 +451,6 @@ def interp_preview(stream: bytes | bytearray | memoryview) -> np.ndarray:
 def interp_decompress(
     stream: bytes | bytearray | memoryview,
     *,
-    impl: str | None = None,
     scratch=None,
 ) -> np.ndarray:
     """Reconstruct a field from an ``FZIN`` stream (float32).
@@ -523,7 +461,6 @@ def interp_decompress(
     inconsistently raise :class:`~repro.errors.DecompressionError`.
     """
     buf = bytes(stream)
-    impl_pass = _resolve_impl(impl)
     shape, eb_abs, anchor_log2, n_blocks, n_nonzero, n_anchors = _check_framing(buf)
     flag_bytes = (n_blocks + 7) // 8
     reader = BoundedReader(buf, name="FZIN stream")
@@ -546,7 +483,7 @@ def interp_decompress(
             rec[asel] = anchors.reshape(
                 _anchor_grid_shape(shape, anchor_log2)
             ).astype(np.float64) * eb2
-            _run_levels(rec, None, codes, anchor_log2, eb2, False, impl_pass)
+            _run_levels(rec, None, codes, anchor_log2, eb2, False)
         except ValueError as exc:
             raise DecompressionError(f"inconsistent FZIN stream: {exc}") from exc
     return rec.astype(np.float32)

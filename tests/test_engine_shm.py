@@ -32,7 +32,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.engine import Engine, TaskFailure
 from repro.errors import ConfigError
 from repro.utils.pool import (
@@ -234,6 +234,37 @@ class TestTransportKnob:
     def test_auto_resolves_by_platform(self):
         with Engine(jobs=2, pool="process") as engine:
             assert engine._use_shm() == shm_available()
+
+    def test_pickle_stages_nothing(self):
+        """Both transports share one worker path; pickle must never stage."""
+        field = np.cumsum(
+            np.random.default_rng(3).standard_normal((64, 32)), axis=0
+        ).astype(np.float32)
+        rec = telemetry.get_recorder()
+        rec.clear()
+        rec.enabled = True
+        try:
+            with Engine(
+                jobs=2, pool="process", transport="pickle", **FAST
+            ) as engine:
+                results = engine.compress_batch(_fields(3), EB, "rel")
+                blob = engine.compress_chunked(field, EB, "abs", chunk_bytes=2048)
+                back = engine.decompress_chunked(blob)
+                roi = engine.decompress_roi(blob, "10:50,4:20")
+                assert engine._shm is None
+            snap = rec.snapshot()
+        finally:
+            rec.enabled = False
+            rec.clear()
+        names = [ev["name"] for ev in snap["events"]]
+        assert "engine.shm_stage" not in names
+        assert "engine.task" in names  # the process pool really ran
+        with Engine() as inline:
+            assert [r.stream for r in results] == _streams(inline, _fields(3))
+            assert blob == inline.compress_chunked(
+                field, EB, "abs", chunk_bytes=2048
+            )
+        np.testing.assert_array_equal(roi, back[10:50, 4:20])
 
 
 class TestDecodePeekCaps:

@@ -3,8 +3,8 @@
 Covers the ``repro.planner`` subsystem end to end:
 
 * probe + ``decide()`` routing units (constant shortcut, entropy margins);
-* the cubic interpolation predictor — reference vs vectorized pass
-  byte-identity, error bounds across shapes and Table-1-style field kinds,
+* the cubic interpolation predictor — pass byte-identity against a loop
+  oracle, error bounds across shapes and Table-1-style field kinds,
   FZIN framing rejection;
 * the constant-block shortcut and its FZCN framing;
 * ``compress_with_plan``/``decompress_any`` dispatch, including the
@@ -28,6 +28,7 @@ from repro import faults
 from repro.core.pipeline import FZGPU
 from repro.engine import Engine, read_containers
 from repro.errors import ConfigError, FormatError
+from repro.planner import interp
 from repro.planner import (
     CONSTANT_MAGIC,
     INTERP_MAGIC,
@@ -196,17 +197,54 @@ SHAPES = [(1,), (5,), (200,), (4097,), (7, 9), (96, 128), (65, 1, 3),
           (17, 19, 23)]
 
 
+def _pass_reference(rec, src, codes, axis, s, eb2, encode):
+    """Loop oracle for ``interp._pass_vectorized``: one hyperplane at a time.
+
+    Walks the targets of a pass in order with scalar-index selections, so
+    each prediction reads neighbors written by earlier iterations; the
+    vectorized pass must match it byte for byte.
+    """
+    d = rec.shape[axis]
+    nd = rec.ndim
+    sel_at = interp._axis_sel
+    n_sat = 0
+    max_abs = 0
+    for i in range(s, d, 2 * s):
+        left = rec[sel_at(nd, axis, i - s)]
+        if i + s >= d:
+            pred = left
+        elif i - 3 * s >= 0 and i + 3 * s < d:
+            pred = interp._cubic(
+                rec[sel_at(nd, axis, i - 3 * s)],
+                left,
+                rec[sel_at(nd, axis, i + s)],
+                rec[sel_at(nd, axis, i + 3 * s)],
+            )
+        else:
+            pred = interp._linear(left, rec[sel_at(nd, axis, i + s)])
+        sel = sel_at(nd, axis, i)
+        if encode:
+            c, delta, ns, ma = interp._quantize_residual(src[sel], pred, eb2)
+            codes[sel] = c
+            rec[sel] = pred + delta * eb2
+            n_sat += ns
+            max_abs = max(max_abs, ma)
+        else:
+            rec[sel] = pred + interp._residual_from_codes(codes[sel]) * eb2
+    return n_sat, max_abs
+
+
 class TestInterp:
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_reference_vectorized_byte_identical(self, shape, rng):
+    def test_reference_vectorized_byte_identical(self, shape, rng, monkeypatch):
         data = rng.standard_normal(shape).astype(np.float32)
-        ref = interp_compress(data, EB, impl="reference").stream
-        vec = interp_compress(data, EB, impl="vectorized").stream
-        assert ref == vec
-        assert np.array_equal(
-            interp_decompress(ref, impl="reference"),
-            interp_decompress(vec, impl="vectorized"),
-        )
+        vec = interp_compress(data, EB)
+        recon = interp_decompress(vec.stream)
+        monkeypatch.setattr(interp, "_pass_vectorized", _pass_reference)
+        ref = interp_compress(data, EB)
+        assert ref.stream == vec.stream
+        assert ref.quantizer == vec.quantizer
+        assert np.array_equal(interp_decompress(vec.stream), recon)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_roundtrip_within_bound(self, shape, rng):
@@ -223,15 +261,22 @@ class TestInterp:
         interp = interp_compress(data, EB)
         assert interp.compressed_bytes < fast.compressed_bytes
 
-    def test_env_var_selects_impl(self, monkeypatch, rng):
+    def test_no_implementation_knob(self, monkeypatch, rng):
+        # one pass implementation: the retired selector variable is inert
+        # and the keyword is gone from every entry point
         data = rng.standard_normal(300).astype(np.float32)
-        monkeypatch.setenv("REPRO_INTERP_IMPL", "reference")
         ref = interp_compress(data, EB).stream
-        monkeypatch.setenv("REPRO_INTERP_IMPL", "vectorized")
-        assert interp_compress(data, EB).stream == ref
         monkeypatch.setenv("REPRO_INTERP_IMPL", "bogus")
-        with pytest.raises(ConfigError):
-            interp_compress(data, EB)
+        assert interp_compress(data, EB).stream == ref
+        assert not hasattr(interp, "_pass_reference")
+        with pytest.raises(TypeError):
+            interp_compress(data, EB, impl="reference")
+        with pytest.raises(TypeError):
+            interp_decompress(ref, impl="reference")
+        with pytest.raises(TypeError):
+            compress_with_plan(data, EB, "abs", plan="interp", impl="reference")
+        with pytest.raises(TypeError):
+            decompress_any(ref, impl="reference")
 
     def test_stream_magic_and_plan(self, rng):
         res = interp_compress(rng.standard_normal(100).astype(np.float32), EB)

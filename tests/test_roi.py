@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults, telemetry
+from repro.core.pipeline import FZGPU
 from repro.engine import Engine, plan_chunks, read_containers
 from repro.engine import container as fzmc
 from repro.errors import (
@@ -392,6 +393,39 @@ def test_every_roi_failure_is_a_typed_repro_error(eng, two_segment_blob):
     for blob, spec in bad_inputs:
         with pytest.raises(ReproError):
             eng.decompress_roi(blob, spec)
+
+
+def test_index_the_planner_rejects_fails_every_decode(eng):
+    """A well-framed index the planner cannot place raises, salvage too.
+
+    A ``split_axis=1`` container parses, but its segments are column
+    bands: stitching them along axis 0 would garble the field, so strict,
+    ROI and salvage decodes all refuse it with a typed error naming the
+    split axis instead of blaming the intact payloads.
+    """
+    data = _field((16, 32), seed=4)
+    buf = io.BytesIO()
+    writer = fzmc.ContainerWriter(buf, data.shape, EB, split_axis=1)
+    for c0 in (0, 16):
+        band = np.ascontiguousarray(data[:, c0 : c0 + 16])
+        writer.add_segment(FZGPU().compress(band, EB, "abs").stream, 16)
+    writer.finish()
+    split = buf.getvalue()
+    (index,) = read_containers(io.BytesIO(split))
+    assert index.split_axis == 1
+    for decode in (
+        eng.decompress_chunked,
+        lambda b: eng.decompress_roi(b, "0:4"),
+        lambda b: eng.decompress_chunked(b, salvage=True),
+    ):
+        with pytest.raises(FormatError, match="split_axis=1"):
+            decode(split)
+    mismatch = (
+        eng.compress_chunked(np.zeros((8, 6), np.float32), EB, "abs")
+        + eng.compress_chunked(np.zeros((8, 7), np.float32), EB, "abs")
+    )
+    with pytest.raises(FormatError, match="trailing dims"):
+        eng.decompress_chunked(mismatch, salvage=True)
 
 
 # ---------------------------------------------------------------------------
