@@ -63,7 +63,7 @@ from collections import deque
 from itertools import islice
 from dataclasses import dataclass, replace
 from io import BytesIO
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,14 +211,6 @@ def plan_chunks(
     row_bytes = 4 * math.prod(shape[1:])
     rows = max(align, int(chunk_bytes // max(row_bytes * align, 1)) * align)
     return [(s, min(s + rows, rows_total)) for s in range(0, rows_total, rows)]
-
-
-class _PlanCounts(NamedTuple):
-    """Per-decode tallies of a container plan (the ``roi.*`` counters)."""
-
-    decoded: int  #: segments decoded through the pool
-    filled: int  #: constant segments filled in the parent
-    bytes_in: int  #: payload bytes read
 
 
 @dataclass(frozen=True)
@@ -1180,25 +1172,6 @@ class Engine:
             sp.set("n_streams", len(streams))
             return list(self._decompress_map(streams, on_error))
 
-    def decompress_stream(
-        self, streams: Iterable[bytes], on_error: str = "raise"
-    ) -> Iterator[np.ndarray]:
-        """Decompress streams lazily, yielding arrays in submission order.
-
-        Unlike :meth:`decompress_batch` this is a generator: each array is
-        yielded as soon as it (and everything before it) completes, and
-        ``streams`` itself is consumed incrementally — at most one retry
-        window of payloads is in flight at a time.  This is the serving
-        fast path: :mod:`repro.serve` feeds container segments in and flushes
-        each decoded chunk to the client before the next finishes.
-        """
-        with telemetry.span("engine.decompress_stream") as sp:
-            n = 0
-            for result in self._decompress_map(streams, on_error):
-                n += 1
-                yield result
-            sp.set("n_streams", n)
-
     # -- chunked / streaming API -------------------------------------------
 
     def _axis0_align(self, ndim: int) -> int:
@@ -1312,11 +1285,10 @@ class Engine:
         if salvage:
             return self._decompress_salvage(fileobj)
         with telemetry.span("engine.decompress_file") as root:
-            with telemetry.span("engine.read_index"):
-                plan = plan_roi(fzmc.read_containers(fileobj), ())
+            plan, payloads = self._open_plan(fileobj, None)
             root.set("n_chunks", plan.n_segments)
-            out, counts = self._decode_plan(fileobj, plan)
-            root.set("bytes_in", counts.bytes_in)
+            out = self._decode_plan(plan, payloads)
+            root.set("bytes_in", sum(map(len, payloads)))
             root.set("bytes_out", int(out.nbytes))
         return out
 
@@ -1326,10 +1298,16 @@ class Engine:
 
     # -- container plans: full, region-of-interest and progressive decode --
 
-    def _roi_read_plan(self, fileobj: BinaryIO, slab) -> RoiPlan:
-        """Read the container indexes and intersect ``slab`` with them."""
+    def _read_plan(self, fileobj: BinaryIO, slab) -> RoiPlan:
+        """Read the container indexes and plan ``slab`` (``None``: whole field).
+
+        Only a slab request is an ROI read: it alone gets the ``roi.plan``
+        span and the ``roi.requests``/``roi.chunks_skipped`` counters.
+        """
         with telemetry.span("engine.read_index"):
             indexes = fzmc.read_containers(fileobj)
+        if slab is None:
+            return plan_roi(indexes, ())
         with telemetry.span("roi.plan") as sp:
             plan = plan_roi(indexes, slab)
             sp.set("n_segments", plan.n_segments)
@@ -1339,11 +1317,14 @@ class Engine:
             telemetry.counter("roi.chunks_skipped", plan.n_skipped)
         return plan
 
-    def _roi_payloads(self, fileobj: BinaryIO, plan: RoiPlan) -> list[bytes]:
-        """Read + CRC-check exactly the intersecting segments, in file order."""
-        return [
+    def _open_plan(self, source, slab) -> tuple[RoiPlan, list[bytes]]:
+        """Plan ``slab`` and read + CRC-check exactly its segments, in order."""
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            source = BytesIO(source)
+        plan = self._read_plan(source, slab)
+        return plan, [
             fzmc.read_segment_payload(
-                fileobj, task.container_start, task.entry, task.seg_ordinal
+                source, task.container_start, task.entry, task.seg_ordinal
             )
             for task in plan.tasks
         ]
@@ -1365,35 +1346,75 @@ class Engine:
         )
         return np.float32(info["fill"])
 
-    def _decode_plan(
-        self, fileobj: BinaryIO, plan: RoiPlan
-    ) -> tuple[np.ndarray, _PlanCounts]:
-        """Strict decode of every task in ``plan``; any failure raises.
+    def _tiles(
+        self, plan: RoiPlan, payloads: list[bytes], roi: bool = False,
+        previews: bool = False,
+    ) -> Iterator[RoiTile]:
+        """The strict decode loop: each task's exact tile, in file order.
 
-        Every intersecting segment is read and CRC-checked first.  Constant
-        rows are filled in the parent and the rest decode through
-        :meth:`_decompress_map`, each chunk's slab scattered as it arrives.
+        Constant segments are filled here; the rest decode through
+        :meth:`_decompress_map` and must come back in the chunk shape the
+        index declares.  ``previews`` puts each interp segment's level-0
+        preview (``final=False``) before its exact tile and counts
+        ``roi.tiles``; ``roi`` counts ``roi.chunks_decoded`` and
+        ``roi.chunks_filled``.
         """
+        telem = telemetry.enabled()
+        results = self._decompress_map(
+            [p for p in payloads if p[:4] != CONSTANT_MAGIC]
+        )
+
+        def emit(tile: RoiTile) -> RoiTile:
+            if previews and telem:
+                telemetry.counter(
+                    "roi.tiles", 1,
+                    {"level": str(tile.level), "final": str(tile.final).lower()},
+                )
+            return tile
+
+        filled = decoded = 0
+        try:
+            for task, payload in zip(plan.tasks, payloads):
+                if payload[:4] == CONSTANT_MAGIC:
+                    fill = self._roi_fill(task, payload)
+                    filled += 1
+                    yield emit(RoiTile(
+                        0, True, task.out_row0,
+                        np.broadcast_to(fill, task.tile_shape),
+                    ))
+                    continue
+                if previews and payload[:4] == INTERP_MAGIC:
+                    preview = interp_preview(payload)
+                    check_consistent(
+                        tuple(preview.shape) == task.chunk_shape,
+                        f"FZIN preview shape {tuple(preview.shape)} does not "
+                        f"match container index {task.chunk_shape}",
+                    )
+                    yield emit(
+                        RoiTile(0, False, task.out_row0, preview[task.local])
+                    )
+                arr = next(results)
+                check_consistent(
+                    tuple(arr.shape) == task.chunk_shape,
+                    f"chunk decoded to shape {tuple(arr.shape)}, container "
+                    f"index declares {task.chunk_shape}",
+                )
+                decoded += 1
+                yield emit(RoiTile(1, True, task.out_row0, arr[task.local]))
+        finally:
+            results.close()
+            if roi and telem:
+                telemetry.counter("roi.chunks_decoded", decoded)
+                telemetry.counter("roi.chunks_filled", filled)
+
+    def _decode_plan(
+        self, plan: RoiPlan, payloads: list[bytes], roi: bool = False
+    ) -> np.ndarray:
+        """Strict decode of every task in ``plan`` into one array."""
         out = np.empty(plan.out_shape, dtype=np.float32)
-        payloads = self._roi_payloads(fileobj, plan)
-        pending: list[RoiTask] = []
-        streams: list[bytes] = []
-        for task, payload in zip(plan.tasks, payloads):
-            if payload[:4] == CONSTANT_MAGIC:
-                fill = self._roi_fill(task, payload)
-                out[task.out_row0 : task.out_row0 + task.rows] = fill
-            else:
-                pending.append(task)
-                streams.append(payload)
-        for task, arr in zip(pending, self._decompress_map(streams)):
-            check_consistent(
-                tuple(arr.shape) == task.chunk_shape,
-                f"chunk decoded to shape {tuple(arr.shape)}, container "
-                f"index declares {task.chunk_shape}",
-            )
-            out[task.out_row0 : task.out_row0 + task.rows] = arr[task.local]
-        filled = len(plan.tasks) - len(pending)
-        return out, _PlanCounts(len(pending), filled, sum(map(len, payloads)))
+        for tile in self._tiles(plan, payloads, roi):
+            out[tile.row0 : tile.row0 + len(tile.data)] = tile.data
+        return out
 
     def decompress_roi_from(self, fileobj: BinaryIO, slab, salvage: bool = False):
         """Decode only the hyperslab ``slab`` of a multi-chunk container.
@@ -1416,25 +1437,42 @@ class Engine:
         re-sync for that).
         """
         with telemetry.span("engine.decompress_roi") as root:
-            plan = self._roi_read_plan(fileobj, slab)
-            root.set("n_segments", plan.n_segments)
-            root.set("n_intersecting", len(plan.tasks))
             if salvage:
-                out, report, counts = self._salvage_plan(
-                    plan, self._read_slots(fileobj, plan)
+                plan = self._read_plan(fileobj, slab)
+                out, report = self._salvage_plan(
+                    plan, self._read_slots(fileobj, plan), roi=True
                 )
             else:
-                out, counts = self._decode_plan(fileobj, plan)
+                plan, payloads = self._open_plan(fileobj, slab)
+                out = self._decode_plan(plan, payloads, roi=True)
+            root.set("n_segments", plan.n_segments)
+            root.set("n_intersecting", len(plan.tasks))
             root.set("bytes_out", int(out.nbytes))
             if telemetry.enabled():
-                telemetry.counter("roi.chunks_decoded", counts.decoded)
-                telemetry.counter("roi.chunks_filled", counts.filled)
                 telemetry.counter("roi.bytes_out", int(out.nbytes))
         return (out, report) if salvage else out
 
     def decompress_roi(self, blob: bytes, slab, salvage: bool = False):
         """In-memory variant of :meth:`decompress_roi_from`."""
         return self.decompress_roi_from(BytesIO(blob), slab, salvage=salvage)
+
+    def open_roi(
+        self, source, slab=None
+    ) -> tuple[RoiPlan, Iterator[np.ndarray]]:
+        """Plan a container decode; return the plan and its exact tiles.
+
+        ``source`` is a container blob or a seekable binary file object;
+        ``slab`` is anything :meth:`decompress_roi_from` accepts, ``None``
+        meaning the whole field.  Planning and the segment reads and CRC
+        checks happen here, so a malformed container, an index the planner
+        rejects or a bad slab raises before any tile exists.  The iterator
+        yields one tile per intersecting segment, in file order; together
+        they are byte-identical to :meth:`decompress_roi` (the full decode
+        for ``slab=None``).  ``POST /v1/decompress`` streams this.
+        """
+        plan, payloads = self._open_plan(source, slab)
+        tiles = self._tiles(plan, payloads, roi=slab is not None)
+        return plan, (tile.data for tile in tiles)
 
     def iter_roi_tiles(self, source, slab) -> Iterator[RoiTile]:
         """Progressive ROI decode: coarse-to-fine :class:`~repro.roi.RoiTile` s.
@@ -1452,63 +1490,8 @@ class Engine:
         Planning and segment reads happen eagerly — malformed containers
         and bad slabs raise here, not mid-iteration.
         """
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            source = BytesIO(source)
-        plan = self._roi_read_plan(source, slab)
-        payloads = self._roi_payloads(source, plan)
-        return self._roi_tile_gen(plan, payloads)
-
-    def _roi_tile_gen(
-        self, plan: RoiPlan, payloads: list[bytes]
-    ) -> Iterator[RoiTile]:
-        telem = telemetry.enabled()
-
-        def tile(level: int, final: bool, task, data: np.ndarray) -> RoiTile:
-            if telem:
-                telemetry.counter(
-                    "roi.tiles", 1,
-                    {"level": str(level), "final": str(final).lower()},
-                )
-            return RoiTile(level, final, task.out_row0, data)
-
-        results = self.decompress_stream(
-            [p for p in payloads if p[:4] != CONSTANT_MAGIC]
-        )
-        filled = n_decoded = 0
-        try:
-            for task, payload in zip(plan.tasks, payloads):
-                if payload[:4] == CONSTANT_MAGIC:
-                    fill = self._roi_fill(task, payload)
-                    filled += 1
-                    yield tile(
-                        0, True, task,
-                        np.full(task.tile_shape, fill, dtype=np.float32),
-                    )
-                    continue
-                if payload[:4] == INTERP_MAGIC:
-                    preview = interp_preview(payload)
-                    check_consistent(
-                        tuple(preview.shape) == task.chunk_shape,
-                        f"FZIN preview shape {tuple(preview.shape)} does not "
-                        f"match container index {task.chunk_shape}",
-                    )
-                    yield tile(
-                        0, False, task,
-                        np.ascontiguousarray(preview[task.local]),
-                    )
-                arr = next(results)
-                check_consistent(
-                    tuple(arr.shape) == task.chunk_shape,
-                    f"chunk decoded to shape {tuple(arr.shape)}, container "
-                    f"index declares {task.chunk_shape}",
-                )
-                n_decoded += 1
-                yield tile(1, True, task, np.ascontiguousarray(arr[task.local]))
-        finally:
-            results.close()
-            if telem:
-                telemetry.counter("roi.chunks_decoded", n_decoded)
-                telemetry.counter("roi.chunks_filled", filled)
+        plan, payloads = self._open_plan(source, slab)
+        return self._tiles(plan, payloads, roi=True, previews=True)
 
     def decompress_roi_file(
         self,
@@ -1547,15 +1530,17 @@ class Engine:
         return slots
 
     def _salvage_plan(
-        self, plan: RoiPlan, slots: Sequence[tuple[RoiTask, bytes | None, str]]
-    ) -> tuple[np.ndarray, fzmc.SalvageReport, _PlanCounts]:
+        self, plan: RoiPlan, slots: Sequence[tuple[RoiTask, bytes | None, str]],
+        roi: bool = False,
+    ) -> tuple[np.ndarray, fzmc.SalvageReport]:
         """Best-effort decode of ``plan``: NaN-fill whatever is lost.
 
         ``slots`` holds one ``(task, payload | None, detail)`` per plan
         task; a missing payload is lost with ``detail``.  Payloads that
         fail to decode, or decode to a shape the index does not declare,
         are lost too, and the report accounts for every byte of the plan's
-        output.
+        output.  ``roi`` counts the recovered segments as :meth:`_tiles`
+        does.
         """
         out = np.full(plan.out_shape, np.nan, dtype=np.float32)
         decoded = self._decompress_map(
@@ -1563,11 +1548,10 @@ class Engine:
             on_error="return",
         )
         outcomes: list[fzmc.SegmentOutcome] = []
-        recovered = filled = n_decoded = bytes_in = 0
+        recovered = filled = n_decoded = 0
         for task, payload, detail in slots:
             tile = None
             if payload is not None:
-                bytes_in += len(payload)
                 if payload[:4] == CONSTANT_MAGIC:
                     try:
                         tile = self._roi_fill(task, payload)
@@ -1603,7 +1587,10 @@ class Engine:
             lost_bytes=total - recovered,
             segments=tuple(outcomes),
         )
-        return out, report, _PlanCounts(n_decoded, filled, bytes_in)
+        if roi and telemetry.enabled():
+            telemetry.counter("roi.chunks_decoded", n_decoded)
+            telemetry.counter("roi.chunks_filled", filled)
+        return out, report
 
     def _decompress_salvage(
         self, fileobj: BinaryIO
@@ -1637,7 +1624,7 @@ class Engine:
             else:
                 plan = plan_roi(indexes, ())
                 found = {h.offset: h.payload for h in fzmc.resync_segments(blob)}
-                out, report, _ = self._salvage_plan(plan, [
+                out, report = self._salvage_plan(plan, [
                     (
                         task,
                         found.get(task.container_start + task.entry.offset),

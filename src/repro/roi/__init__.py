@@ -20,8 +20,10 @@ Consumption surfaces:
   instantly from their 52-byte header, interp segments yield an
   anchor-grid preview before the exact reconstruction, fast segments
   yield one exact tile.
-* ``POST /v1/decompress?slab=...`` (:mod:`repro.serve`) and
-  ``repro decompress --roi`` (CLI) expose the same planning path.
+* :meth:`repro.engine.Engine.open_roi` — the plan plus an iterator of
+  exact tiles; every ``POST /v1/decompress`` (:mod:`repro.serve`), full or
+  ``?slab=``, streams it, and ``repro decompress --roi`` (CLI) plans the
+  same way.
 """
 
 from repro.roi.plan import RoiPlan, RoiTask, RoiTile, plan_roi

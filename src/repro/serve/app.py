@@ -11,9 +11,11 @@ PRs and is *reused* here rather than reimplemented:
   is streamed back segment-by-segment as worker tasks complete (a producer
   thread drives the engine; completed bytes cross into the event loop via
   ``call_soon_threadsafe``).
-* **Decompression** parses the container index up front (typed 4xx on
-  malformed framing, via the same BoundedReader-hardened parsers the CLI
-  uses) and streams decoded chunks through ``Engine.decompress_stream``.
+* **Decompression**, full or ``?slab=``, runs on the engine's
+  :class:`~repro.roi.RoiPlan` through ``Engine.open_roi``: the index is
+  parsed once, up front, and a malformed container, an index the planner
+  rejects or a bad slab is a typed 400 before any bytes are sent.  The
+  exact tiles then stream out in order, one per intersecting segment.
 * **Fault tolerance** is the engine's own retry/quarantine/pool-rebuild
   machinery: a worker crash mid-request surfaces as a typed 5xx with a
   structured JSON body — or, after response headers are already out, as a
@@ -624,23 +626,16 @@ class App:
             work, [("Content-Type", "application/x-fz-container")]
         )
 
-    async def _parsed_container(self, body: bytes):
-        """Run :meth:`_parse_container` on a worker thread.
+    def _parse_container(self, body: bytes) -> list[fzmc.ContainerIndex]:
+        """Container indexes for ``/v1/info``, every segment CRC-checked.
 
-        Parsing copies every segment payload of a body that may be hundreds
-        of MiB; doing it inline would stall every other connection
-        (including ``/healthz``) for the duration.
+        Reading every segment of a body that may be hundreds of MiB is slow,
+        so :meth:`_info` runs this on a worker thread rather than stall
+        every other connection (including ``/healthz``).
         """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._parse_container, body)
-
-    def _parse_container(self, body: bytes):
-        """Read container indexes + per-segment payloads (typed 4xx on damage)."""
         fileobj = BytesIO(body)
         indexes = fzmc.read_containers(fileobj)
         tail = indexes[0].shape[1:]
-        payloads: list[bytes] = []
-        extents: list[tuple[int, ...]] = []
         start = 0
         for idx in indexes:
             if idx.shape[1:] != tail:
@@ -649,80 +644,45 @@ class App:
                     f"{idx.shape[1:]} vs {tail}"
                 )
             for ordinal, entry in enumerate(idx.segments):
-                payloads.append(
-                    fzmc.read_segment_payload(fileobj, start, entry, ordinal)
-                )
-                extents.append((entry.extent,) + tail)
+                fzmc.read_segment_payload(fileobj, start, entry, ordinal)
             start += idx.container_bytes
-        return indexes, payloads, extents
+        return indexes
 
     async def _decompress(self, request: Request) -> Response:
-        slab_text = request.query.get("slab")
-        if slab_text is not None:
-            return await self._decompress_roi(request, slab_text)
-        indexes, payloads, extents = await self._parsed_container(request.body)
-        total_rows = sum(idx.shape[0] for idx in indexes)
-        shape = (total_rows,) + indexes[0].shape[1:]
+        """Full or hyperslab decode: ``POST /v1/decompress[?slab=a:b,...]``.
 
-        def work(stream: _Stream) -> None:
-            for expected, arr in zip(
-                extents, self.engine.decompress_stream(payloads)
-            ):
-                if tuple(arr.shape) != tuple(expected):
-                    raise DecompressionError(
-                        f"chunk decoded to shape {tuple(arr.shape)}, container "
-                        f"index declares {tuple(expected)}"
-                    )
-                stream.push(arr.tobytes())
-
-        return await self._streamed(
-            work,
-            [
-                ("Content-Type", "application/octet-stream"),
-                ("X-Repro-Dtype", "float32"),
-                ("X-Repro-Shape", ",".join(str(n) for n in shape)),
-            ],
-        )
-
-    async def _decompress_roi(self, request: Request, slab_text: str) -> Response:
-        """Hyperslab decode: ``POST /v1/decompress?slab=start:stop,...``.
-
-        Planning runs up front on a worker thread — a malformed container
-        or slab (empty, out of range, too many axes) surfaces as a typed
-        400 *before* any headers go out, and only the segments whose row
-        span intersects the slab are ever read or decoded.  The body then
-        streams one tile per intersecting segment (the exact slab bytes,
-        row-major, in order), so first bytes reach the client as soon as
-        the first segment decodes.
+        :meth:`Engine.open_roi` plans the request on a worker thread and
+        reads and CRC-checks the segments it touches, so a malformed
+        container, an index the planner rejects or a bad slab is a typed
+        400 *before* any headers go out.  The body then streams one exact
+        tile per intersecting segment, row-major and in order, as each
+        segment decodes.  Only a ``slab=`` request is an ROI read.
         """
-        body = request.body
+        slab = request.query.get("slab")
         loop = asyncio.get_running_loop()
-
-        def plan():
-            from repro.roi import plan_roi
-
-            return plan_roi(fzmc.read_containers(BytesIO(body)), slab_text)
-
-        roi_plan = await loop.run_in_executor(None, plan)
-        self.recorder.counter("serve.roi_requests")
+        plan, tiles = await loop.run_in_executor(
+            None, self.engine.open_roi, request.body, slab
+        )
+        headers = [
+            ("Content-Type", "application/octet-stream"),
+            ("X-Repro-Dtype", "float32"),
+            ("X-Repro-Shape", ",".join(str(n) for n in plan.out_shape)),
+        ]
+        if slab is not None:
+            self.recorder.counter("serve.roi_requests")
+            headers.append(("X-Repro-Slab", plan.slab.text()))
 
         def work(stream: _Stream) -> None:
-            for tile in self.engine.iter_roi_tiles(BytesIO(body), slab_text):
-                if tile.final:
-                    stream.push(tile.data.tobytes())
+            for tile in tiles:
+                stream.push(tile.tobytes())
 
-        return await self._streamed(
-            work,
-            [
-                ("Content-Type", "application/octet-stream"),
-                ("X-Repro-Dtype", "float32"),
-                ("X-Repro-Shape", ",".join(str(n) for n in roi_plan.out_shape)),
-                ("X-Repro-Slab", roi_plan.slab.text()),
-            ],
-        )
+        return await self._streamed(work, headers)
 
     async def _info(self, request: Request) -> Response:
-        indexes, payloads, extents = await self._parsed_container(request.body)
+        loop = asyncio.get_running_loop()
+        indexes = await loop.run_in_executor(
+            None, self._parse_container, request.body
+        )
         containers = [
             {
                 "shape": list(idx.shape),

@@ -563,12 +563,16 @@ class TestServePlan:
         )
 
         data = _mixed_field()
-        with live_server(jobs=2) as (srv, _app, _engine):
+        with live_server(jobs=2) as (srv, _app, engine):
             st, _, blob = http_compress(srv.address, data, EB, mode="abs",
                                         chunk_bytes=CHUNK, plan="auto")
             assert st == 200
             st, _, recon = http_decompress(srv.address, blob)
             assert st == 200 and _bound_ok(data, recon, EB)
+            # constant segments are filled in the parent over HTTP too
+            direct = engine.decompress_chunked(blob)
+            assert recon.shape == direct.shape
+            assert recon.tobytes() == direct.tobytes()
             st, _, body = request(srv.address, "POST", "/v1/info", blob)
             info = json.loads(body)["containers"][0]
             assert info["version"] == 3

@@ -401,7 +401,8 @@ def test_index_the_planner_rejects_fails_every_decode(eng):
     A ``split_axis=1`` container parses, but its segments are column
     bands: stitching them along axis 0 would garble the field, so strict,
     ROI and salvage decodes all refuse it with a typed error naming the
-    split axis instead of blaming the intact payloads.
+    split axis instead of blaming the intact payloads.  Over HTTP, full
+    and slab decodes answer the same typed 400 before any bytes go out.
     """
     data = _field((16, 32), seed=4)
     buf = io.BytesIO()
@@ -420,6 +421,13 @@ def test_index_the_planner_rejects_fails_every_decode(eng):
     ):
         with pytest.raises(FormatError, match="split_axis=1"):
             decode(split)
+    with live_server(jobs=2, pool="thread", **FAST) as (srv, app, engine):
+        for target in ("/v1/decompress", "/v1/decompress?slab=0:4"):
+            status, _, body = request(srv.address, "POST", target, split)
+            assert status == 400, target
+            err = json.loads(body)
+            assert err["error"] == "FormatError", target
+            assert "split_axis=1" in err["message"], target
     mismatch = (
         eng.compress_chunked(np.zeros((8, 6), np.float32), EB, "abs")
         + eng.compress_chunked(np.zeros((8, 7), np.float32), EB, "abs")
@@ -586,3 +594,60 @@ def test_http_slab_over_process_pool_shm(eng):
         )
     assert status == 200
     assert body == full[40:72, 8:24].tobytes()
+
+
+def _handle(app, target: str, body: bytes):
+    """One in-process request through ``App.handle``; returns (resp, body)."""
+    import asyncio
+
+    from repro.serve import Request
+
+    path, _, query = target.partition("?")
+    params = dict(kv.split("=", 1) for kv in query.split("&") if kv)
+
+    async def run():
+        req = Request("POST", target, path, params, {}, body, "127.0.0.1:5")
+        resp = await app.handle(req)
+        chunks = [resp.body] if resp.stream is None else [
+            chunk async for chunk in resp.stream
+        ]
+        return resp, b"".join(chunks)
+
+    return asyncio.run(run())
+
+
+def test_http_decode_parses_the_index_once(eng, monkeypatch):
+    """Full and slab decodes plan once; only the slab one is an ROI read."""
+    from repro.serve import App, ServeConfig
+    from repro.telemetry.recorder import Recorder
+
+    data = _field((64, 40), seed=17)
+    blob = eng.compress_chunked(data, EB, chunk_bytes=2048)
+    full = eng.decompress_chunked(blob)
+    calls = []
+    real = fzmc.read_containers
+
+    def counting(fileobj):
+        calls.append(1)
+        return real(fileobj)
+
+    monkeypatch.setattr(fzmc, "read_containers", counting)
+    app = App(eng, ServeConfig(), recorder=Recorder(enabled=True))
+    rec = telemetry.get_recorder()
+    telemetry.enable()
+    rec.clear()
+    try:
+        resp, body = _handle(app, "/v1/decompress?slab=10:50,4:28", blob)
+        assert resp.status == 200 and body == full[10:50, 4:28].tobytes()
+        assert len(calls) == 1
+        assert _counter(rec.snapshot(), "roi.requests") == 1
+        calls.clear()
+        resp, body = _handle(app, "/v1/decompress", blob)
+        assert resp.status == 200 and body == full.tobytes()
+        assert len(calls) == 1
+        snap = rec.snapshot()
+    finally:
+        telemetry.disable()
+        rec.clear()
+    assert _counter(snap, "roi.requests") == 1
+    assert _counter(app.recorder.snapshot(), "serve.roi_requests") == 1
