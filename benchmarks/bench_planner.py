@@ -11,6 +11,11 @@ Three synthetic field kinds exercise the three segment plans:
 * ``rough1d`` — Gaussian noise, where ``plan="auto"`` must route to the
   fast path with probe overhead inside 1.3x of a forced-``fast`` encode.
 
+Interp throughput is gated as a ratio to fused on ``cross2d``: interp
+encode must run at >= 1/3 and decode at >= 1/2 of the fused fast path's
+speed.  Both plans are timed interleaved, best of ``SPEED_REPEATS``, so
+host steal hits both sides of each ratio alike.
+
 Every plan's reconstruction is checked against the error bound before any
 timing is trusted.  Results land in ``benchmarks/results/BENCH_planner.json``;
 the committed copy at ``benchmarks/BENCH_planner.json`` is the regression
@@ -41,6 +46,9 @@ REPEATS = 3
 INTERP_RATIO_FLOOR = 2.0  # interp ratio vs fused ratio on quad1d
 CONST_RATIO_FLOOR = 50.0  # constant-chunk compression ratio
 AUTO_OVERHEAD_CEIL = 1.3  # auto wall time vs forced-fast on rough data
+INTERP_ENCODE_SPEED_FLOOR = 1 / 3  # interp encode MB/s vs fused on cross2d
+INTERP_DECODE_SPEED_FLOOR = 1 / 2  # interp decode MB/s vs fused on cross2d
+SPEED_REPEATS = 15
 #: A fresh run may fall to this fraction of a committed baseline figure
 #: (or exceed 1/GATE_MARGIN of a committed overhead) before the gate fails.
 GATE_MARGIN = 0.6
@@ -80,6 +88,33 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def _interp_speed(data: np.ndarray) -> dict:
+    """Interp vs fused encode/decode throughput on one field.
+
+    Each round times all four calls back to back and every figure keeps
+    its best round, so a burst of host steal lands on both plans.
+    """
+    fast = compress_with_plan(data, EB, MODE, plan="fast").stream
+    interp = compress_with_plan(data, EB, MODE, plan="interp").stream
+    calls = {
+        "fast_encode": lambda: compress_with_plan(data, EB, MODE, plan="fast"),
+        "interp_encode": lambda: compress_with_plan(
+            data, EB, MODE, plan="interp"
+        ),
+        "fast_decode": lambda: decompress_any(fast),
+        "interp_decode": lambda: decompress_any(interp),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(SPEED_REPEATS):
+        for name, fn in calls.items():
+            best[name] = min(best[name], _best_of(fn, 1))
+    mb = data.nbytes / 1e6
+    out = {f"{k}_MBps": mb / v for k, v in best.items()}
+    out["encode_vs_fused"] = best["fast_encode"] / best["interp_encode"]
+    out["decode_vs_fused"] = best["fast_decode"] / best["interp_decode"]
+    return out
+
+
 def _in_bound(data: np.ndarray, stream: bytes) -> bool:
     recon = decompress_any(stream)
     err = np.abs(recon.astype(np.float64) - data.astype(np.float64)).max()
@@ -109,6 +144,7 @@ def _measure() -> dict:
             "in_bound": _in_bound(data, fast.stream)
             and _in_bound(data, interp.stream),
         }
+    out["fields"]["cross2d"]["speed"] = _interp_speed(fields["cross2d"])
 
     const = fields["const1d"]
     auto_const = compress_with_plan(const, EB, MODE, plan="auto")
@@ -166,6 +202,17 @@ def test_planner_shootout(benchmark, record_result):
             ("rough1d", f"auto {f['rough1d']['auto_overhead']:.2f}x fast"),
         )
     ]
+    speed = f["cross2d"]["speed"]
+    rows.append(
+        {
+            "field": "cross2d",
+            "shape": "x".join(str(d) for d in f["cross2d"]["shape"]),
+            "plan": "interp",
+            "figure": f"speed {speed['encode_vs_fused']:.2f}x fused encode, "
+            f"{speed['decode_vs_fused']:.2f}x decode",
+            "in_bound": f["cross2d"]["in_bound"],
+        }
+    )
     record_result(
         "bench_planner",
         render_table(rows, title=f"Planner shootout at eb={EB:g} {MODE}"),
@@ -195,6 +242,17 @@ def test_planner_shootout(benchmark, record_result):
             f"rough1d: auto probe overhead {f['rough1d']['auto_overhead']:.2f}x"
             f" fast > ceiling {AUTO_OVERHEAD_CEIL}x"
         )
+
+    for kind, floor in (
+        ("encode", INTERP_ENCODE_SPEED_FLOOR),
+        ("decode", INTERP_DECODE_SPEED_FLOOR),
+    ):
+        got = speed[f"{kind}_vs_fused"]
+        if got < floor:
+            failures.append(
+                f"cross2d: interp {kind} at {got:.2f}x fused speed "
+                f"< floor {floor:.2f}x"
+            )
 
     baseline = (
         json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else None

@@ -28,7 +28,11 @@ Algorithm
   through the exact bitshuffle and zero-block stages of the fused pipeline
   into a CRC-trailed ``FZIN`` stream.
 
-Each (level, axis) pass computes every target at once.  Prediction and
+Each (level, axis) pass computes every target at once on strided views:
+targets sit at ``slice(s, d, 2s)`` along the pass axis and each neighbor
+set (``i ∓ s``, ``i ∓ 3s``) is another basic slice of the same region, so
+no pass gathers or copies its inputs.  The prediction rule (cubic,
+linear, nearest) is fixed per contiguous run of targets.  Prediction and
 quantization go through shared helpers, so each target sees one fixed
 float64 expression tree; ``tests/test_planner.py`` pins the pass
 byte-identical to a one-hyperplane-at-a-time loop oracle.
@@ -150,45 +154,55 @@ def _region(ndim: int, axis: int, s: int) -> tuple:
 
 
 def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
-    """One (level, axis) pass: every target in one shot.
+    """One (level, axis) pass: every target in one shot, on strided views.
 
-    Neighbors are never targets of the same pass (targets sit at odd
-    multiples of ``s``, neighbors at even ones), so reading them all before
-    writing any target is exactly equivalent to an in-order walk of the
-    targets.  The per-target prediction rule (nearest / linear / cubic) is
-    applied through the shared helpers, in nearest < linear < cubic
-    precedence.
+    Target ``k`` sits at ``i = s + 2sk`` along ``axis``, so the targets and
+    each neighbor set (``i - 3s``, ``i - s``, ``i + s``, ``i + 3s``) over a
+    run of ``k`` are basic strided slices of ``rec``: the pass reads views
+    and gathers nothing.  Neighbors are never targets of the same pass
+    (targets sit at odd multiples of ``s``, neighbors at even ones), so
+    reading them all before writing any target is exactly equivalent to an
+    in-order walk of the targets.  The prediction rule is fixed per
+    contiguous run of ``k``: cubic for ``1 <= k < n_cub``, linear for the
+    other ``k < n_lin``, nearest-left for the trailing target (if any) that
+    has no right neighbor.
     """
     d = rec.shape[axis]
     nd = rec.ndim
-    idx = np.arange(s, d, 2 * s)
-    if idx.size == 0:
+    step = 2 * s
+    n = len(range(s, d, step))
+    if n == 0:
         return 0, 0
-    pred = np.take(rec, idx - s, axis=axis)  # nearest-left default
-    has_right = idx + s < d
-    if has_right.any():
-        ri = idx[has_right]
-        lin = _linear(
-            np.take(rec, ri - s, axis=axis), np.take(rec, ri + s, axis=axis)
+    n_lin = len(range(step, d, step))  # targets with a right neighbor
+    n_cub = len(range(2 * step, d, step))  # ... and one 3s away
+
+    def at(offset, k0, k1):
+        """View of positions ``s + offset + 2sk`` for ``k0 <= k < k1``."""
+        lo = s + offset + step * k0
+        return rec[_axis_sel(nd, axis, slice(lo, lo + step * (k1 - k0 - 1) + 1, step))]
+
+    tgt = _axis_sel(nd, axis, slice(s, d, step))
+    pred = np.empty(rec[tgt].shape)
+    if n_cub > 1:
+        pred[_axis_sel(nd, axis, slice(1, n_cub))] = _cubic(
+            at(-3 * s, 1, n_cub), at(-s, 1, n_cub), at(s, 1, n_cub), at(3 * s, 1, n_cub)
         )
-        pred[_axis_sel(nd, axis, np.flatnonzero(has_right))] = lin
-    cubic = has_right & (idx - 3 * s >= 0) & (idx + 3 * s < d)
-    if cubic.any():
-        ci = idx[cubic]
-        cub = _cubic(
-            np.take(rec, ci - 3 * s, axis=axis),
-            np.take(rec, ci - s, axis=axis),
-            np.take(rec, ci + s, axis=axis),
-            np.take(rec, ci + 3 * s, axis=axis),
-        )
-        pred[_axis_sel(nd, axis, np.flatnonzero(cubic))] = cub
-    sel = _axis_sel(nd, axis, idx)
+        linear = ((0, 1), (n_cub, n_lin))
+    else:
+        linear = ((0, n_lin),)
+    for k0, k1 in linear:
+        if k0 < k1:
+            pred[_axis_sel(nd, axis, slice(k0, k1))] = _linear(
+                at(-s, k0, k1), at(s, k0, k1)
+            )
+    if n_lin < n:
+        pred[_axis_sel(nd, axis, slice(n_lin, n))] = at(-s, n_lin, n)
     if encode:
-        c, delta, n_sat, max_abs = _quantize_residual(src[sel], pred, eb2)
-        codes[sel] = c
-        rec[sel] = pred + delta * eb2
+        c, delta, n_sat, max_abs = _quantize_residual(src[tgt], pred, eb2)
+        codes[tgt] = c
+        rec[tgt] = pred + delta * eb2
         return n_sat, max_abs
-    rec[sel] = pred + _residual_from_codes(codes[sel]) * eb2
+    rec[tgt] = pred + _residual_from_codes(codes[tgt]) * eb2
     return 0, 0
 
 
@@ -250,14 +264,15 @@ def interp_compress(
         raise ConfigError(f"anchor_log2 must be in [1, {_MAX_ANCHOR_LOG2}]")
     eb2 = 2.0 * eb_abs
     with telemetry.span("stage.interp.predict"):
-        src = data.astype(np.float64)
         rec = np.empty(data.shape, dtype=np.float64)
         codes = np.zeros(data.shape, dtype=np.uint16)
         s0 = 1 << anchor_log2
         asel = tuple(slice(None, None, s0) for _ in range(data.ndim))
-        anchors = np.rint(src[asel] / eb2).astype(np.int64)
+        anchors = np.rint(data[asel].astype(np.float64) / eb2).astype(np.int64)
         rec[asel] = anchors.astype(np.float64) * eb2
-        n_sat, max_abs = _run_levels(rec, src, codes, anchor_log2, eb2, True)
+        # the float32 source widens exactly inside ``v - pred`` (pred is
+        # float64), so no float64 copy of the field is needed
+        n_sat, max_abs = _run_levels(rec, data, codes, anchor_log2, eb2, True)
     if scratch is None:
         scratch = Scratch()
     with telemetry.span("stage.fused_encode"):
@@ -429,7 +444,9 @@ def interp_preview(stream: bytes | bytearray | memoryview) -> np.ndarray:
 
     Anchor positions (coordinates ≡ 0 mod the stride) are *exact* — they
     equal the final reconstruction there; everything else is the nearest
-    anchor at block resolution.
+    anchor at block resolution.  Each output coordinate indexes the anchor
+    grid at ``coord >> anchor_log2``, so memory is bounded by the output,
+    whatever stride the header declares.
     """
     buf = bytes(stream)
     shape, eb_abs, anchor_log2, _n_blocks, _n_nonzero, n_anchors = _check_framing(buf)
@@ -441,11 +458,8 @@ def interp_preview(stream: bytes | bytearray | memoryview) -> np.ndarray:
         vals = anchors.reshape(grid).astype(np.float64) * (2.0 * eb_abs)
     except ValueError as exc:
         raise DecompressionError(f"inconsistent FZIN stream: {exc}") from exc
-    s0 = 1 << anchor_log2
-    ndim = len(shape)
-    for axis, dim in enumerate(shape):
-        vals = np.repeat(vals, s0, axis=axis)[_axis_sel(ndim, axis, slice(0, dim))]
-    return vals.astype(np.float32)
+    nearest = np.ix_(*(np.arange(dim) >> anchor_log2 for dim in shape))
+    return vals.astype(np.float32)[nearest]
 
 
 def interp_decompress(

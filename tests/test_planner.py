@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from repro.planner import (
     interp_compress,
     interp_decompress,
     interp_info,
+    interp_preview,
     normalize_plan,
     plan_id,
     plan_name,
@@ -193,8 +195,10 @@ class TestDecide:
 # interpolation predictor (FZIN)
 # ---------------------------------------------------------------------------
 
+# (2,), (3,), (6,) and (2, 3, 9) hit the nearest-only and empty-cubic
+# target ranges of a pass
 SHAPES = [(1,), (5,), (200,), (4097,), (7, 9), (96, 128), (65, 1, 3),
-          (17, 19, 23)]
+          (17, 19, 23), (2,), (3,), (6,), (2, 3, 9)]
 
 
 def _pass_reference(rec, src, codes, axis, s, eb2, encode):
@@ -234,17 +238,87 @@ def _pass_reference(rec, src, codes, axis, s, eb2, encode):
     return n_sat, max_abs
 
 
+def _assert_matches_loop_oracle(data, monkeypatch, **kw):
+    """Encode and decode ``data`` with the pass and with the loop oracle;
+    streams, quantizer stats and reconstructions must all match.  Returns
+    the shared :class:`QuantizerStats`."""
+    vec = interp_compress(data, EB, **kw)
+    recon = interp_decompress(vec.stream)
+    with monkeypatch.context() as m:
+        m.setattr(interp, "_pass_vectorized", _pass_reference)
+        ref = interp_compress(data, EB, **kw)
+        assert np.array_equal(interp_decompress(ref.stream), recon)
+    assert ref.stream == vec.stream
+    assert ref.quantizer == vec.quantizer
+    return vec.quantizer
+
+
 class TestInterp:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_reference_vectorized_byte_identical(self, shape, rng, monkeypatch):
+        _assert_matches_loop_oracle(
+            rng.standard_normal(shape).astype(np.float32), monkeypatch
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("anchor_log2", [1, 2, 4, 6])
+    def test_loop_oracle_byte_identical_per_anchor_stride(
+        self, anchor_log2, shape, rng, monkeypatch
+    ):
+        _assert_matches_loop_oracle(
+            rng.standard_normal(shape).astype(np.float32),
+            monkeypatch,
+            anchor_log2=anchor_log2,
+        )
+
+    @pytest.mark.parametrize("shape", [(4097,), (96, 128), (17, 19, 23)])
+    def test_loop_oracle_byte_identical_when_saturating(
+        self, shape, rng, monkeypatch
+    ):
         data = rng.standard_normal(shape).astype(np.float32)
-        vec = interp_compress(data, EB)
-        recon = interp_decompress(vec.stream)
-        monkeypatch.setattr(interp, "_pass_vectorized", _pass_reference)
-        ref = interp_compress(data, EB)
-        assert ref.stream == vec.stream
-        assert ref.quantizer == vec.quantizer
-        assert np.array_equal(interp_decompress(vec.stream), recon)
+        data.flat[::37] *= np.float32(1e6)  # outliers far past 15-bit codes
+        stats = _assert_matches_loop_oracle(data, monkeypatch)
+        assert stats.n_saturated > 0
+
+    @pytest.mark.parametrize("shape", [(1,), (200,), (7, 9), (17, 19, 23)])
+    @pytest.mark.parametrize("anchor_log2", [1, 3, 6])
+    def test_preview_is_nearest_anchor_upsampling(self, anchor_log2, shape, rng):
+        data = rng.standard_normal(shape).astype(np.float32)
+        stream = interp_compress(data, EB, anchor_log2=anchor_log2).stream
+        full = interp_decompress(stream)
+        s0 = 1 << anchor_log2
+        # anchors are exact, so the preview repeats the decoded anchor grid
+        expect = full[tuple(slice(None, None, s0) for _ in shape)]
+        for axis, dim in enumerate(shape):
+            expect = np.repeat(expect, s0, axis=axis)
+            expect = expect[interp._axis_sel(len(shape), axis, slice(0, dim))]
+        preview = interp_preview(stream)
+        assert preview.dtype == np.float32
+        assert np.array_equal(preview, expect)
+
+    def test_preview_memory_bounded_by_output_not_anchor_stride(self):
+        # a valid stream whose anchor stride (2**24) dwarfs the field: the
+        # preview must not materialize a stride-sized upsampling buffer
+        tiny = np.linspace(0.0, 1.0, 10, dtype=np.float32)
+        stream = interp_compress(tiny, EB, anchor_log2=24).stream
+        assert len(stream) == 264
+        preview = interp_preview(stream)
+        assert np.array_equal(
+            preview, np.full(10, interp_decompress(stream)[0], np.float32)
+        )
+
+        field = np.linspace(0.0, 1.0, 1 << 16, dtype=np.float32)
+        stream = interp_compress(field, EB, anchor_log2=24).stream
+        tracemalloc.start()
+        try:
+            preview = interp_preview(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(
+            preview, np.full(field.shape, interp_decompress(stream)[0])
+        )
+        assert peak < 6 * preview.nbytes
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_roundtrip_within_bound(self, shape, rng):
