@@ -32,10 +32,15 @@ Each (level, axis) pass computes every target at once on strided views:
 targets sit at ``slice(s, d, 2s)`` along the pass axis and each neighbor
 set (``i ∓ s``, ``i ∓ 3s``) is another basic slice of the same region, so
 no pass gathers or copies its inputs.  The prediction rule (cubic,
-linear, nearest) is fixed per contiguous run of targets.  Prediction and
-quantization go through shared helpers, so each target sees one fixed
-float64 expression tree; ``tests/test_planner.py`` pins the pass
-byte-identical to a one-hyperplane-at-a-time loop oracle.
+linear, nearest) is fixed per contiguous run of targets and is written
+in place into one float64 buffer.  The residual is quantized in a second
+buffer with no select: residuals are clamped only when the pass
+saturates, and codes take their sign bit straight from the int16 value,
+as in the fused slab kernel.  The encoder's final pass skips its
+reconstruction, which nothing reads.  Decoding looks each code up in a
+table of dequantized residuals, built once per stream.
+``tests/test_planner.py`` pins the pass byte-identical to a
+one-hyperplane-at-a-time loop oracle with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -94,44 +99,11 @@ def default_anchor_log2(shape: tuple[int, ...]) -> int:
     return 6 if len(shape) == 1 else 4
 
 
-# -- shared prediction / residual arithmetic --------------------------------
-# The pass and the test-side loop oracle call exactly these helpers, so
-# every target sees the same float64 expression tree.
-
-
-def _cubic(a, b, c, d):
-    """4-point cubic midpoint: ``(9(b + c) - (a + d)) / 16`` (float64)."""
-    return (9.0 * (b + c) - (a + d)) / 16.0
-
-
-def _linear(a, b):
-    return (a + b) * 0.5
-
-
-def _quantize_residual(
-    v: np.ndarray, pred: np.ndarray, eb2: float
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Quantize residuals to sign-magnitude codes, returning the clamped
-    float64 deltas the encoder must reconstruct with (codes, delta, n_sat,
-    max_abs)."""
-    t = np.rint((v - pred) / eb2)
-    mag = np.abs(t)
-    n_sat = int(np.count_nonzero(mag > MAX_MAGNITUDE))
-    m = float(np.max(mag, initial=0.0))
-    max_abs = int(m) if m <= float(1 << 62) else 1 << 62
-    mag = np.minimum(mag, float(MAX_MAGNITUDE))
-    codes = mag.astype(np.uint16)
-    neg = t < 0.0
-    codes = codes | np.where(neg, SIGN_BIT, np.uint16(0))
-    delta = np.where(neg, -mag, mag)
-    return codes, delta, n_sat, max_abs
-
-
-def _residual_from_codes(codes: np.ndarray) -> np.ndarray:
-    """Sign-magnitude codes back to float64 deltas (decode side)."""
-    mag = (codes & np.uint16(MAX_MAGNITUDE)).astype(np.float64)
-    neg = (codes & SIGN_BIT) != 0
-    return np.where(neg, -mag, mag)
+#: Signed magnitude of every 16-bit sign-magnitude code; scaled by ``2eb``
+#: once per decode, it dequantizes a pass with one table lookup.
+_SIGNED_MAGNITUDE = (np.arange(1 << 16) & MAX_MAGNITUDE).astype(np.float64)
+_SIGNED_MAGNITUDE[SIGN_BIT:] *= -1.0
+_SIGNED_MAGNITUDE.flags.writeable = False
 
 
 def _axis_sel(ndim: int, axis: int, at) -> tuple:
@@ -153,7 +125,7 @@ def _region(ndim: int, axis: int, s: int) -> tuple:
     )
 
 
-def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
+def _pass_vectorized(rec, src, codes, axis, s, eb2, lut):
     """One (level, axis) pass: every target in one shot, on strided views.
 
     Target ``k`` sits at ``i = s + 2sk`` along ``axis``, so the targets and
@@ -166,6 +138,10 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
     contiguous run of ``k``: cubic for ``1 <= k < n_cub``, linear for the
     other ``k < n_lin``, nearest-left for the trailing target (if any) that
     has no right neighbor.
+
+    Encoding (``src`` given) quantizes into ``codes``; decoding (``src``
+    None) adds ``lut[codes]``, the table of dequantized residuals.  Returns
+    ``(n_saturated, max_abs)``.
     """
     d = rec.shape[axis]
     nd = rec.ndim
@@ -183,30 +159,53 @@ def _pass_vectorized(rec, src, codes, axis, s, eb2, encode):
 
     tgt = _axis_sel(nd, axis, slice(s, d, step))
     pred = np.empty(rec[tgt].shape)
+    t = np.empty_like(pred)
     if n_cub > 1:
-        pred[_axis_sel(nd, axis, slice(1, n_cub))] = _cubic(
-            at(-3 * s, 1, n_cub), at(-s, 1, n_cub), at(s, 1, n_cub), at(3 * s, 1, n_cub)
-        )
+        # (9(b + c) - (a + d)) / 16, written in place; t holds a + d
+        run = _axis_sel(nd, axis, slice(1, n_cub))
+        p, ad = pred[run], t[run]
+        np.add(at(-s, 1, n_cub), at(s, 1, n_cub), out=p)
+        p *= 9.0
+        np.add(at(-3 * s, 1, n_cub), at(3 * s, 1, n_cub), out=ad)
+        p -= ad
+        p /= 16.0
         linear = ((0, 1), (n_cub, n_lin))
     else:
         linear = ((0, n_lin),)
     for k0, k1 in linear:
         if k0 < k1:
-            pred[_axis_sel(nd, axis, slice(k0, k1))] = _linear(
-                at(-s, k0, k1), at(s, k0, k1)
-            )
+            p = pred[_axis_sel(nd, axis, slice(k0, k1))]
+            np.add(at(-s, k0, k1), at(s, k0, k1), out=p)
+            p *= 0.5
     if n_lin < n:
         pred[_axis_sel(nd, axis, slice(n_lin, n))] = at(-s, n_lin, n)
-    if encode:
-        c, delta, n_sat, max_abs = _quantize_residual(src[tgt], pred, eb2)
-        codes[tgt] = c
-        rec[tgt] = pred + delta * eb2
-        return n_sat, max_abs
-    rec[tgt] = pred + _residual_from_codes(codes[tgt]) * eb2
-    return 0, 0
+    if src is None:
+        np.add(lut[codes[tgt]], pred, out=rec[tgt])
+        return 0, 0
+    # the float32 source widens exactly inside the float64 subtraction
+    np.subtract(src[tgt], pred, out=t)
+    t /= eb2
+    np.rint(t, out=t)
+    m = max(float(t.max()), -float(t.min()))
+    max_abs = int(m) if m <= float(1 << 62) else 1 << 62
+    n_sat = 0
+    if m > MAX_MAGNITUDE:
+        # rare saturating pass: clamp; the clamped residual is the delta
+        n_sat = int(np.count_nonzero(np.abs(t) > MAX_MAGNITUDE))
+        np.clip(t, -MAX_MAGNITUDE, MAX_MAGNITUDE, out=t)
+    # |t| <= 0x7FFF fits int16 exactly, and the int16 sign bit of such a
+    # value is set iff it is negative: it *is* SIGN_BIT
+    q = t.astype(np.int16)
+    np.bitwise_or(
+        q.view(np.uint16) & SIGN_BIT, np.abs(q).view(np.uint16), out=codes[tgt]
+    )
+    if s > 1 or axis < nd - 1:  # nothing reads rec after the final pass
+        t *= eb2
+        np.add(t, pred, out=rec[tgt])
+    return n_sat, max_abs
 
 
-def _run_levels(rec, src, codes, anchor_log2, eb2, encode):
+def _run_levels(rec, src, codes, anchor_log2, eb2, lut):
     """Drive every (level, axis) pass; returns (n_saturated, max_abs)."""
     ndim = rec.ndim
     n_sat = 0
@@ -222,7 +221,7 @@ def _run_levels(rec, src, codes, anchor_log2, eb2, encode):
                 axis,
                 s,
                 eb2,
-                encode,
+                lut,
             )
             n_sat += ns
             max_abs = max(max_abs, ma)
@@ -270,9 +269,7 @@ def interp_compress(
         asel = tuple(slice(None, None, s0) for _ in range(data.ndim))
         anchors = np.rint(data[asel].astype(np.float64) / eb2).astype(np.int64)
         rec[asel] = anchors.astype(np.float64) * eb2
-        # the float32 source widens exactly inside ``v - pred`` (pred is
-        # float64), so no float64 copy of the field is needed
-        n_sat, max_abs = _run_levels(rec, data, codes, anchor_log2, eb2, True)
+        n_sat, max_abs = _run_levels(rec, data, codes, anchor_log2, eb2, None)
     if scratch is None:
         scratch = Scratch()
     with telemetry.span("stage.fused_encode"):
@@ -497,7 +494,8 @@ def interp_decompress(
             rec[asel] = anchors.reshape(
                 _anchor_grid_shape(shape, anchor_log2)
             ).astype(np.float64) * eb2
-            _run_levels(rec, None, codes, anchor_log2, eb2, False)
+            lut = _SIGNED_MAGNITUDE * eb2
+            _run_levels(rec, None, codes, anchor_log2, eb2, lut)
         except ValueError as exc:
             raise DecompressionError(f"inconsistent FZIN stream: {exc}") from exc
     return rec.astype(np.float32)

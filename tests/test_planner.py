@@ -27,6 +27,7 @@ import pytest
 
 from repro import faults
 from repro.core.pipeline import FZGPU
+from repro.core.quantize import MAX_MAGNITUDE, SIGN_BIT, QuantizerStats
 from repro.engine import Engine, read_containers
 from repro.errors import ConfigError, FormatError
 from repro.planner import interp
@@ -201,12 +202,44 @@ SHAPES = [(1,), (5,), (200,), (4097,), (7, 9), (96, 128), (65, 1, 3),
           (17, 19, 23), (2,), (3,), (6,), (2, 3, 9)]
 
 
-def _pass_reference(rec, src, codes, axis, s, eb2, encode):
+# The loop oracle's own arithmetic: plain expressions with np.where
+# selects, sharing no code with the pass's in-place, select-free kernel,
+# so the identity tests compare two independent implementations.
+
+
+def _ref_cubic(a, b, c, d):
+    return (9.0 * (b + c) - (a + d)) / 16.0
+
+
+def _ref_linear(a, b):
+    return (a + b) * 0.5
+
+
+def _ref_quantize(v, pred, eb2):
+    """Sign-magnitude codes, clamped float64 deltas, n_sat and max_abs."""
+    t = np.rint((v - pred) / eb2)
+    mag = np.abs(t)
+    n_sat = int(np.count_nonzero(mag > MAX_MAGNITUDE))
+    m = float(np.max(mag, initial=0.0))
+    max_abs = int(m) if m <= float(1 << 62) else 1 << 62
+    mag = np.minimum(mag, float(MAX_MAGNITUDE))
+    neg = t < 0.0
+    codes = mag.astype(np.uint16) | np.where(neg, SIGN_BIT, np.uint16(0))
+    return codes, np.where(neg, -mag, mag), n_sat, max_abs
+
+
+def _ref_dequantize(codes):
+    mag = (codes & np.uint16(MAX_MAGNITUDE)).astype(np.float64)
+    return np.where((codes & SIGN_BIT) != 0, -mag, mag)
+
+
+def _pass_reference(rec, src, codes, axis, s, eb2, lut):
     """Loop oracle for ``interp._pass_vectorized``: one hyperplane at a time.
 
     Walks the targets of a pass in order with scalar-index selections, so
     each prediction reads neighbors written by earlier iterations; the
-    vectorized pass must match it byte for byte.
+    vectorized pass must match it byte for byte.  It decodes with its own
+    dequantizer and ignores the pass's table ``lut``.
     """
     d = rec.shape[axis]
     nd = rec.ndim
@@ -218,23 +251,23 @@ def _pass_reference(rec, src, codes, axis, s, eb2, encode):
         if i + s >= d:
             pred = left
         elif i - 3 * s >= 0 and i + 3 * s < d:
-            pred = interp._cubic(
+            pred = _ref_cubic(
                 rec[sel_at(nd, axis, i - 3 * s)],
                 left,
                 rec[sel_at(nd, axis, i + s)],
                 rec[sel_at(nd, axis, i + 3 * s)],
             )
         else:
-            pred = interp._linear(left, rec[sel_at(nd, axis, i + s)])
+            pred = _ref_linear(left, rec[sel_at(nd, axis, i + s)])
         sel = sel_at(nd, axis, i)
-        if encode:
-            c, delta, ns, ma = interp._quantize_residual(src[sel], pred, eb2)
+        if src is not None:
+            c, delta, ns, ma = _ref_quantize(src[sel], pred, eb2)
             codes[sel] = c
             rec[sel] = pred + delta * eb2
             n_sat += ns
             max_abs = max(max_abs, ma)
         else:
-            rec[sel] = pred + interp._residual_from_codes(codes[sel]) * eb2
+            rec[sel] = pred + _ref_dequantize(codes[sel]) * eb2
     return n_sat, max_abs
 
 
@@ -247,7 +280,8 @@ def _assert_matches_loop_oracle(data, monkeypatch, **kw):
     with monkeypatch.context() as m:
         m.setattr(interp, "_pass_vectorized", _pass_reference)
         ref = interp_compress(data, EB, **kw)
-        assert np.array_equal(interp_decompress(ref.stream), recon)
+        # bytes, not values: a -0.0 where the oracle has +0.0 must fail
+        assert interp_decompress(ref.stream).tobytes() == recon.tobytes()
     assert ref.stream == vec.stream
     assert ref.quantizer == vec.quantizer
     return vec.quantizer
@@ -279,6 +313,24 @@ class TestInterp:
         data.flat[::37] *= np.float32(1e6)  # outliers far past 15-bit codes
         stats = _assert_matches_loop_oracle(data, monkeypatch)
         assert stats.n_saturated > 0
+
+    @pytest.mark.parametrize("shape", [(4097,), (96, 128), (17, 19, 23)])
+    @pytest.mark.parametrize("kind", ["zeros", "tiny_signed"])
+    def test_loop_oracle_byte_identical_on_signed_zeros(
+        self, kind, shape, rng, monkeypatch
+    ):
+        # all-zero input gives +0.0 residuals; values within +-0.4 eb of
+        # zero round to 0 with the value's sign, so rint yields -0.0
+        # residuals wherever the value is negative
+        data = np.zeros(shape, np.float32)
+        if kind == "tiny_signed":
+            data.flat[::3] = rng.uniform(-0.4 * EB, 0.4 * EB, data.size)[::3]
+            assert (data < 0).any()
+        stats = _assert_matches_loop_oracle(data, monkeypatch)
+        assert stats == QuantizerStats(0, 0, 0)
+        # every prediction and residual is zero: the decode is all +0.0
+        recon = interp_decompress(interp_compress(data, EB).stream)
+        assert recon.tobytes() == np.zeros(shape, np.float32).tobytes()
 
     @pytest.mark.parametrize("shape", [(1,), (200,), (7, 9), (17, 19, 23)])
     @pytest.mark.parametrize("anchor_log2", [1, 3, 6])
